@@ -1,16 +1,18 @@
 """Disarmed fault sites must be (near) free on the hot paths.
 
-The injection points ride the dcache insert, the permission-map
-allocation, and the decision-cache insert — each behind a single
-``if site.armed:`` attribute load, the moral equivalent of a static
-branch key. This benchmark measures that guard directly: every
-instrumented function is raced against a guard-free clone (the
-pre-instrumentation body) on identical workloads, interleaved
-best-of-batches, and the disarmed overhead must stay under 5%.
+Every cache insert in the kernel goes through
+:meth:`~repro.kernel.pathindex.BoundedTable.put`, whose first line asks
+the table's fault site — a single ``if site.armed:`` attribute load
+when disarmed, the moral equivalent of a static branch key. This
+benchmark measures that guard directly: each operation is raced
+against a guard-free clone of ``put`` (the same body minus the guard)
+on identical workloads, interleaved best-of-batches, and the disarmed
+overhead must stay under 5%.
 
 Workloads are insert-heavy on purpose — caches are flushed every
-iteration so the guarded lines actually execute. Steady-state hit
-paths never reach a guard at all.
+iteration so the guarded line actually executes, and each row asserts
+(by a counter delta) that it reaches the insert it names. The warm
+stat row is the control: a steady-state hit never reaches a guard.
 
 Results land in ``BENCH_fault_overhead.json`` at the repo root and
 ``benchmarks/reports/fault_overhead.txt``.
@@ -22,12 +24,8 @@ from pathlib import Path
 
 from benchmarks.conftest import bench_scale
 from repro.core import System, SystemMode
-from repro.kernel.dcache import DentryCache
-from repro.kernel.security.server import (
-    _FASTPATH_UNCACHEABLE_ERRNOS,
-    _UNCACHEABLE_ERRNOS,
-    SecurityServer,
-)
+from repro.kernel import modes
+from repro.kernel.pathindex import BoundedTable
 
 ITERATIONS = max(200, int(4_000 * bench_scale()))
 BATCHES = 6
@@ -37,77 +35,30 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_fault_overhead.json"
 
 
 # ----------------------------------------------------------------------
-# Guard-free clones: the instrumented bodies minus the fault guard.
+# The guard-free clone: BoundedTable.put minus its fault guard.
 # ----------------------------------------------------------------------
-def _put_unguarded(self, path, follow, entry):
-    self._entries[(self.mount_epoch, path, follow)] = entry
-    if len(self._entries) > self.max_entries:
-        self._entries.popitem(last=False)
-
-
-def _perms_for_unguarded(self, cred_epoch, cred):
-    last = self._last_perms
-    if (last is not None and last[0] == cred_epoch
-            and last[1] is cred):
-        return last[2]
-    key = (cred_epoch, cred)
-    perms = self._perms.get(key)
-    if perms is None:
-        perms = self._perms[key] = {}
-        if len(self._perms) > self.max_creds:
-            self._perms.popitem(last=False)
-    else:
-        self._perms.move_to_end(key)
-    self._last_perms = (cred_epoch, cred, perms)
-    return perms
-
-
-def _check_unguarded(self, req):
-    key = self._key(req)
-    if key is not None:
-        self.stats.lookups += 1
-        hit = self._cache.get(key)
-        if hit is not None:
-            self.stats.hits += 1
-            self._cache.move_to_end(key)
-            self._record(req, hit, cached=True)
-            return hit
-        self.stats.misses += 1
-    else:
-        self.stats.uncacheable += 1
-    decision = self._decide(req)
-    cache_ok = (key is not None
-                and self.lsm.cache_ok(req.hook, req.task, *req.args))
-    if cache_ok:
-        if decision.errno not in _FASTPATH_UNCACHEABLE_ERRNOS:
-            object.__setattr__(decision, "fastpath_ok", True)
-        if decision.errno not in _UNCACHEABLE_ERRNOS:
-            self._cache[key] = decision
-            if len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-    self._record(req, decision, cached=False)
-    return decision
-
-
-_CLONES = (
-    (DentryCache, "put", _put_unguarded),
-    (DentryCache, "perms_for", _perms_for_unguarded),
-    (SecurityServer, "check", _check_unguarded),
-)
+def _put_unguarded(self, key, value):
+    at = self.path_at
+    path = key[at] if at is not None else None
+    self[key] = value
+    if at is not None:
+        self.index.add(path, key)
+    if len(self) > self.max_entries:
+        evicted, _ = self.popitem(last=False)
+        if at is not None:
+            self.index.discard(evicted[at], evicted)
+    return True
 
 
 class _patched:
-    """Swap the guard-free clones in for one timed pass."""
+    """Swap the guard-free clone in for one timed pass."""
 
     def __enter__(self):
-        self._saved = [(cls, name, cls.__dict__[name])
-                       for cls, name, _ in _CLONES]
-        for cls, name, clone in _CLONES:
-            setattr(cls, name, clone)
+        self._saved = BoundedTable.__dict__["put"]
+        BoundedTable.put = _put_unguarded
 
     def __exit__(self, *exc):
-        for cls, name, original in self._saved:
-            setattr(cls, name, original)
+        BoundedTable.put = self._saved
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +67,7 @@ class _patched:
 def _system():
     system = System(SystemMode.PROTEGO)
     kernel = system.kernel
-    # The fused fast path would absorb the warm stats before any
+    # The fused fast path would absorb the warm calls before any
     # guarded insert runs; this benchmark measures the layers below.
     kernel.fastpath.enabled = False
     root = system.root_session()
@@ -131,6 +82,8 @@ def _system():
 
 
 def _ops(kernel, root, deep_path):
+    """name -> (operation, a counter that moves once per insert it
+    names, whether one call reaches that insert)."""
     dcache = kernel.vfs.dcache
     server = kernel.security_server
 
@@ -140,14 +93,16 @@ def _ops(kernel, root, deep_path):
 
     def op_decision_insert():
         server.flush()
-        kernel.sys_stat(root, deep_path)
+        kernel.sys_access(root, deep_path, modes.R_OK)
 
     def op_warm_stat():
         kernel.sys_stat(root, deep_path)
 
-    return {"dcache insert": op_dcache_insert,
-            "decision insert": op_decision_insert,
-            "warm stat": op_warm_stat}
+    return {"dcache insert": (op_dcache_insert,
+                              lambda: dcache.stats.walks, True),
+            "decision insert": (op_decision_insert,
+                                lambda: server.stats.misses, True),
+            "warm stat": (op_warm_stat, lambda: dcache.stats.walks, False)}
 
 
 def _time_pass(op, iterations):
@@ -173,7 +128,11 @@ def test_disarmed_fault_sites_are_cheap(write_report):
     kernel, root, deep_path = _system()
     assert not kernel.faults.any_armed
     results = {}
-    for name, op in _ops(kernel, root, deep_path).items():
+    for name, (op, inserts, reaches) in _ops(kernel, root, deep_path).items():
+        before = inserts()
+        op()
+        assert (inserts() > before) == reaches, (
+            f"{name}: {inserts() - before} inserts in one call")
         guarded, unguarded = _measure(op)
         overhead = (guarded - unguarded) / unguarded * 100.0
         results[name] = {

@@ -1,6 +1,6 @@
 """One entry point for constructing legacy/Protego systems.
 
-Construction recipes used to be scattered: ``scenarios/build.py``
+Construction recipes used to be scattered: a scenario builder
 built from a ScenarioSpec, the workload harness hand-assembled
 ``System(mode)`` pairs, and tests re-did both. This module is the
 consolidation: a :class:`SystemConfig` recipe, one

@@ -13,8 +13,8 @@ generations the PR 1 decision cache established:
   memory.
 * **path prefix** — `invalidate_prefix(path)` on namespace mutations
   (create/unlink/rename/rmdir/symlink/link) and attribute changes
-  (chmod/chown) drops the path's entries and every descendant's.
-  :meth:`SecurityServer.invalidate_object` forwards here, so the
+  (chmod/chown) drops the path's entries and every descendant's. The
+  cache subscribes it to the generation hub's path fan-out, so the
   syscall layer keeps a single invalidation call site per mutation.
 * **cred epoch** — permission entries are keyed on the caller's
   credential epoch (bumped by setuid/setgid/setgroups/exec commits),
@@ -37,7 +37,6 @@ rendered at ``/proc/protego/dcache`` next to the audit ring.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 from typing import Dict, Optional, Tuple
 
@@ -45,7 +44,7 @@ from repro.kernel.errno import Errno
 from repro.kernel.fault import SITE_DCACHE_ALLOC, FaultSite
 from repro.kernel.generations import GenerationHub
 from repro.kernel.inode import Inode
-from repro.kernel.pathindex import PathIndex
+from repro.kernel.pathindex import BoundedTable
 
 #: Sentinel distinguishing "no cached permission entry" from a cached
 #: ALLOW (stored as None).
@@ -115,31 +114,34 @@ class DentryCache:
     def __init__(self, max_entries: int = 4096, max_creds: int = 256,
                  generations: Optional[GenerationHub] = None):
         self.enabled = True
-        self.max_entries = max_entries
-        self.max_creds = max_creds
         #: The shared generation authority; the mount-table generation
         #: (part of every path key) lives there so the fused fast path
         #: sees the same epoch this cache keys on.
         self.generations = generations if generations is not None \
             else GenerationHub()
-        self._entries: "collections.OrderedDict[Tuple, Dentry]" = \
-            collections.OrderedDict()
-        #: Reverse path->keys index so prefix invalidation is
-        #: proportional to the entries dropped, not the cache size.
-        self._index = PathIndex()
+        #: Simulated dentry-allocation failure: an armed site makes
+        #: :meth:`put` and a new permission map counted no-ops, so the
+        #: cache degrades to uncached walks — never to a wrong answer.
+        #: Rebound to the kernel's shared injector at boot.
+        site = FaultSite(SITE_DCACHE_ALLOC)
+        #: (mount_epoch, path, follow) -> Dentry
+        self._entries = BoundedTable(max_entries, path_at=1, fault_site=site)
         #: (cred_epoch, cred) -> {(ino, generation, mask) -> errno|None}
-        self._perms: "collections.OrderedDict[Tuple, Dict]" = \
-            collections.OrderedDict()
+        self._perms = BoundedTable(max_creds, fault_site=site)
         #: One-slot (epoch, cred, map) memo for the last caller: the
         #: identity check skips the keyed probe, whose equal-hash
         #: collisions pay a full credential comparison per lookup.
         self._last_perms: Optional[Tuple] = None
         self.stats = DcacheStats()
-        #: Simulated dentry-allocation failure: an armed site makes
-        #: :meth:`put` a counted no-op, so the cache degrades to
-        #: uncached walks — never to a wrong answer. Rebound to the
-        #: kernel's shared injector at boot.
-        self.fault_site = FaultSite(SITE_DCACHE_ALLOC)
+        self.generations.subscribe_paths(self.invalidate_prefix)
+
+    @property
+    def fault_site(self) -> FaultSite:
+        return self._entries.fault_site
+
+    @fault_site.setter
+    def fault_site(self, site: FaultSite) -> None:
+        self._entries.fault_site = self._perms.fault_site = site
 
     @property
     def mount_epoch(self) -> int:
@@ -150,29 +152,18 @@ class DentryCache:
     # Path map
     # ------------------------------------------------------------------
     def get(self, path: str, follow: bool) -> Optional[Dentry]:
-        key = (self.mount_epoch, path, follow)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
+        return self._entries.get((self.mount_epoch, path, follow))
 
     def put(self, path: str, follow: bool, entry: Dentry) -> None:
-        if self.fault_site.armed and self.fault_site.should_fail(path):
+        if not self._entries.put((self.mount_epoch, path, follow), entry):
             self.stats.alloc_failures += 1
-            return
-        key = (self.mount_epoch, path, follow)
-        self._entries[key] = entry
-        self._index.add(path, key)
-        if len(self._entries) > self.max_entries:
-            evicted_key, _ = self._entries.popitem(last=False)
-            self._index.discard(evicted_key[1], evicted_key)
 
     # ------------------------------------------------------------------
     # Permission cache
     # ------------------------------------------------------------------
     def perms_for(self, cred_epoch: int, cred) -> Dict:
         """The permission map for one credential generation; created on
-        first use, LRU-bounded across credentials."""
+        first use, FIFO-bounded across credentials."""
         last = self._last_perms
         if (last is not None and last[0] == cred_epoch
                 and last[1] is cred):
@@ -180,16 +171,12 @@ class DentryCache:
         key = (cred_epoch, cred)
         perms = self._perms.get(key)
         if perms is None:
-            if self.fault_site.armed and self.fault_site.should_fail():
+            perms = {}
+            if not self._perms.put(key, perms):
                 # Simulated allocation failure: hand back a throwaway
                 # map — this walk's checks run uncached but correct.
                 self.stats.alloc_failures += 1
-                return {}
-            perms = self._perms[key] = {}
-            if len(self._perms) > self.max_creds:
-                self._perms.popitem(last=False)
-        else:
-            self._perms.move_to_end(key)
+                return perms
         self._last_perms = (cred_epoch, cred, perms)
         return perms
 
@@ -205,7 +192,6 @@ class DentryCache:
         if self._entries:
             self.stats.invalidations += 1
             self._entries.clear()
-            self._index.clear()
         return epoch
 
     def invalidate_prefix(self, path: str) -> int:
@@ -213,12 +199,10 @@ class DentryCache:
         directory moves its whole subtree; a chmod changes every walk
         through it). Negative entries die here too — this is what a
         create calls."""
-        stale = self._index.collect(path)
-        for key in stale:
-            self._entries.pop(key, None)
-        if stale:
+        dropped = self._entries.invalidate_prefix(path)
+        if dropped:
             self.stats.invalidations += 1
-        return len(stale)
+        return dropped
 
     def flush_permissions(self) -> None:
         """Drop cached permission results only (a policy reload): the
@@ -228,7 +212,6 @@ class DentryCache:
 
     def flush(self) -> None:
         self._entries.clear()
-        self._index.clear()
         self._perms.clear()
         self._last_perms = None
         self.stats.flushes += 1

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from repro.kernel.errno import Errno, SyscallError
-
 #: Every syscall the dispatcher exports, in dispatch-table order. The
 #: bit positions are ABI: a persisted or /proc-rendered mask is only
 #: meaningful against this exact ordering.
@@ -106,20 +104,9 @@ class EntryGate:
         self.generation = 0
 
     # ------------------------------------------------------------------
-    # The hot path: called at every syscall entry, before argument
-    # processing. Two int compares on the warm path, no allocation.
+    # The warm check (two int compares, no allocation) runs inline in
+    # the kernel's syscall preamble; a cold or stale mask lands here.
     # ------------------------------------------------------------------
-    def check(self, task, name: str) -> None:
-        mask = task.entry_mask
-        if (mask is None or task.entry_epoch != task.cred_epoch
-                or task.entry_gen != self.generation):
-            mask = self._revalidate(task)
-        else:
-            self.stats.mask_hits += 1
-        if not mask & SYSCALL_BITS[name]:
-            self.stats.rejections += 1
-            raise SyscallError(Errno.EPERM, f"entry gate: {name}")
-
     def _revalidate(self, task) -> int:
         self.stats.mask_recomputes += 1
         mask = ALL_MASK

@@ -14,8 +14,8 @@ Key: ``(op|mask, path, sid)``.
 * ``op|mask`` — the operation tag (stat/open/perm) with the DAC mask
   or open flags folded into it, so one path can hold distinct verdicts
   per access mode.
-* ``path`` — the normalized absolute path, kept at index 1 and
-  reverse-indexed (:class:`~repro.kernel.pathindex.PathIndex`) so a
+* ``path`` — the normalized absolute path, kept at index 1: the
+  :class:`~repro.kernel.pathindex.BoundedTable` indexes it so a
   prefix invalidation drops exactly the affected verdicts.
 * ``sid`` — the subject id: a never-reused integer the kernel interns
   for each distinct ``(cred_epoch, cred, exe_path)`` triple (see
@@ -52,10 +52,9 @@ never a different one.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Tuple
 
-from repro.kernel.pathindex import PathIndex
+from repro.kernel.pathindex import BoundedTable
 
 #: Operation tags. The low 3 bits carry the DAC mask (R_OK|W_OK|X_OK
 #: ≤ 7) for permission checks; open() folds its flag word in higher
@@ -106,21 +105,18 @@ class FastPathTable:
 
     def __init__(self, generations, max_entries: int = 8192, fault_site=None):
         self.generations = generations
-        self.max_entries = max_entries
-        self.fault_site = fault_site
         self.enabled = True
         self.stats = FastPathStats()
-        self._table: "OrderedDict[Tuple, FastVerdict]" = OrderedDict()
-        # Reverse path->keys index: prefix invalidation drops exactly
-        # the affected entries instead of scanning the whole table.
-        self._index = PathIndex()
+        self._table = BoundedTable(max_entries, path_at=1,
+                                   fault_site=fault_site)
+        generations.subscribe_paths(self.invalidate_prefix)
 
     def __len__(self) -> int:
         return len(self._table)
 
     # ------------------------------------------------------------------
-    # The hot path. No move-to-end on hit: eviction is FIFO, which
-    # keeps the warm probe to one dict get and two int compares.
+    # The hot path: one dict get and two int compares (a hit never
+    # reorders the FIFO table).
     # ------------------------------------------------------------------
     def get(self, key: Tuple) -> Optional[FastVerdict]:
         stats = self.stats
@@ -129,8 +125,7 @@ class FastPathTable:
             stats.misses += 1
             return None
         if entry.stamp != self.generations.generation:
-            del self._table[key]
-            self._index.discard(key[1], key)
+            self._table.drop(key)
             stats.stale_evictions += 1
             stats.misses += 1
             return None
@@ -139,20 +134,14 @@ class FastPathTable:
 
     def put(self, key: Tuple, inode, errno, context: str,
             audit_suffix: Optional[Tuple]) -> None:
-        site = self.fault_site
-        if site is not None and site.armed and site.should_fail(key[1]):
-            # Fail closed: the caller already holds the layered verdict;
-            # we just decline to remember it.
+        # Under a fault the caller already holds the layered verdict;
+        # the table just declines to remember it.
+        if self._table.put(key, FastVerdict(inode, errno, context,
+                                            audit_suffix,
+                                            self.generations.generation)):
+            self.stats.insertions += 1
+        else:
             self.stats.alloc_failures += 1
-            return
-        table = self._table
-        if len(table) >= self.max_entries:
-            evicted_key, _ = table.popitem(last=False)
-            self._index.discard(evicted_key[1], evicted_key)
-        table[key] = FastVerdict(inode, errno, context, audit_suffix,
-                                 self.generations.generation)
-        self._index.add(key[1], key)
-        self.stats.insertions += 1
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -160,14 +149,10 @@ class FastPathTable:
     def invalidate_prefix(self, path: str) -> None:
         """Drop every verdict for *path* or anything beneath it (the
         hub's path fan-out lands here)."""
-        doomed = self._index.collect(path)
-        for key in doomed:
-            self._table.pop(key, None)
-        self.stats.invalidations += len(doomed)
+        self.stats.invalidations += self._table.invalidate_prefix(path)
 
     def flush(self) -> None:
         self._table.clear()
-        self._index.clear()
         self.stats.flushes += 1
 
     # ------------------------------------------------------------------
@@ -179,7 +164,8 @@ class FastPathTable:
         rate = s.hits / s.lookups if s.lookups else 0.0
         return (
             f"entries={len(self._table)} denials={denials} "
-            f"max_entries={self.max_entries} enabled={int(self.enabled)}\n"
+            f"max_entries={self._table.max_entries} "
+            f"enabled={int(self.enabled)}\n"
             f"{self.generations.render()}\n"
             f"lookups={s.lookups} hits={s.hits} misses={s.misses} "
             f"hit_rate={rate:.3f}\n"

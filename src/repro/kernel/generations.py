@@ -18,10 +18,11 @@ epoch is part of every fused key, so a setuid orphans its entries by
 keying rather than by stamping (bumping the world on every setuid
 would evict every other subject's verdicts).
 
-The hub is also the fan-out point for **path-prefix invalidation**:
-subscribers (the fused table; in principle any path-keyed cache)
-receive every ``invalidate_path`` a mutation syscall announces, so the
-syscall layer keeps its single invalidation call site per mutation.
+The hub is also the only route for **path-prefix invalidation**:
+every path-keyed cache (the decision cache, the dentry cache, the
+fused table) subscribes in its constructor and receives every
+``invalidate_path`` a mutation syscall or a pseudo-fs graft announces,
+so each mutation has a single invalidation call site.
 """
 
 from __future__ import annotations

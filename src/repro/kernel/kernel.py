@@ -77,9 +77,9 @@ class Kernel(SyscallMixin):
         self.lsm = LSMChain()
         # The reference monitor: composes DAC + LSM chain + capability
         # checks, caches decisions, and keeps the audit ring behind
-        # /proc/protego/audit. The VFS dentry cache rides the same
-        # invalidation fan-out: one invalidate_object() per mutation
-        # reaches both caches.
+        # /proc/protego/audit. Every path-keyed cache subscribes to the
+        # hub's path fan-out: one invalidate_object() per mutation
+        # reaches them all.
         self.security_server = SecurityServer(self.lsm, clock_fn=self.now,
                                               generations=self.generations)
         self.security_server.attach_dcache(self.vfs.dcache)
@@ -94,7 +94,6 @@ class Kernel(SyscallMixin):
         # walk below stays the oracle.
         self.fastpath = FastPathTable(
             self.generations, fault_site=self.faults.site(SITE_FASTPATH_INSERT))
-        self.generations.subscribe_paths(self.fastpath.invalidate_prefix)
         self._fp_sids: dict = {}
         self._fp_sid_iter = itertools.count(1).__next__
         # SFIP-style syscall-entry gating: per-task permitted-syscall

@@ -14,13 +14,13 @@ to packets from capability-less raw sockets.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import enum
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.kernel.net.packets import HeaderOrigin, ICMPType, Packet, Protocol
 from repro.kernel.net.socket import Socket
+from repro.kernel.pathindex import BoundedTable
 
 
 class Verdict(str, enum.Enum):
@@ -98,11 +98,11 @@ class NetfilterTable:
     transport predicate, and the socket's identity (id + the
     unprivileged-raw mark) — so two packets with equal keys are
     indistinguishable to *any* rule and the cached verdict is exact.
-    Invalidation is generation-based: every ``append``/``insert``/
-    ``extend``/``flush`` and every policy assignment bumps the
-    generation and empties the cache, so a rule change can never be
-    masked by a stale verdict. Rule objects must not be mutated in
-    place after insertion — route changes through these methods.
+    Every ``append``/``insert``/``extend``/``flush`` and every policy
+    assignment bumps the generation and empties the cache, so a rule
+    change can never be masked by a stale verdict. Rule objects must
+    not be mutated in place after insertion — route changes through
+    these methods.
 
     The cache decides the *verdict only*. Injected wire faults
     (drop/dup/reorder) act on the send path strictly after
@@ -115,8 +115,8 @@ class NetfilterTable:
         self._chains = {chain: [] for chain in Chain}
         self.generation = 0
         self.flow_cache_enabled = True
-        self._flows: "collections.OrderedDict[tuple, Tuple[int, Verdict, bool]]" = (
-            collections.OrderedDict())
+        #: flow key -> (verdict, matched-a-rule)
+        self._flows = BoundedTable(self.FLOW_CACHE_SIZE)
         self.stats = {"evaluated": 0, "dropped": 0, "accepted": 0,
                       "flow_hits": 0, "flow_misses": 0,
                       "flow_invalidations": 0}
@@ -197,9 +197,9 @@ class NetfilterTable:
         if self.flow_cache_enabled:
             key = self._flow_key(chain, packet, socket)
             entry = self._flows.get(key)
-            if entry is not None and entry[0] == self.generation:
+            if entry is not None:
                 self.stats["flow_hits"] += 1
-                return self._tally(entry[1]), entry[2]
+                return self._tally(entry[0]), entry[1]
             self.stats["flow_misses"] += 1
         verdict, matched = self.policy[chain], False
         for rule in self._chains[chain]:
@@ -207,9 +207,7 @@ class NetfilterTable:
                 verdict, matched = rule.verdict, True
                 break
         if key is not None:
-            if len(self._flows) >= self.FLOW_CACHE_SIZE:
-                self._flows.popitem(last=False)
-            self._flows[key] = (self.generation, verdict, matched)
+            self._flows.put(key, (verdict, matched))
         return self._tally(verdict), matched
 
     def _tally(self, verdict: Verdict) -> Verdict:

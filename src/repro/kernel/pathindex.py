@@ -25,11 +25,16 @@ the index without bound.
 Objects that are not absolute paths (capability and socket objects
 like ``cap:CAP_SYS_ADMIN``) have no parent and therefore only ever
 match exactly — the same outcome the prefix scan gave them.
+
+:class:`BoundedTable` is the one table type behind every kernel cache:
+a FIFO-bounded ``OrderedDict`` that keeps its own :class:`PathIndex`
+and asks its fault site before each insert.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Optional, Set, Tuple
 
 
 class PathIndex:
@@ -109,3 +114,57 @@ class PathIndex:
 
     def __len__(self) -> int:
         return sum(len(group) for group in self._keys.values())
+
+
+class BoundedTable(OrderedDict):
+    """An ``OrderedDict`` bounded at *max_entries* with FIFO eviction.
+
+    A hot probe is the inherited C ``get``; a hit never reorders. When
+    *path_at* names the key field holding an object path, the table
+    keeps a :class:`PathIndex` over that field, so
+    :meth:`invalidate_prefix` drops exactly the affected keys. An armed
+    *fault_site* vetoes an insert (keyed by that path, if any): ``put``
+    returns ``False`` and the caller counts an allocation failure —
+    the answer it already holds just stays uncached.
+    """
+
+    def __init__(self, max_entries: int, path_at: Optional[int] = None,
+                 fault_site=None) -> None:
+        super().__init__()
+        self.max_entries = max_entries
+        self.path_at = path_at
+        self.fault_site = fault_site
+        self.index = PathIndex() if path_at is not None else None
+
+    def put(self, key: Tuple, value) -> bool:
+        at = self.path_at
+        path = key[at] if at is not None else None
+        site = self.fault_site
+        if site is not None and site.armed and site.should_fail(path):
+            return False
+        self[key] = value
+        if at is not None:
+            self.index.add(path, key)
+        if len(self) > self.max_entries:
+            evicted, _ = self.popitem(last=False)
+            if at is not None:
+                self.index.discard(evicted[at], evicted)
+        return True
+
+    def drop(self, key: Tuple) -> None:
+        self.pop(key, None)
+        if self.path_at is not None:
+            self.index.discard(key[self.path_at], key)
+
+    def invalidate_prefix(self, path: str) -> int:
+        """Drop every entry whose path is *path* or lies beneath it;
+        returns how many went."""
+        doomed = self.index.collect(path)
+        for key in doomed:
+            self.pop(key, None)
+        return len(doomed)
+
+    def clear(self) -> None:
+        super().clear()
+        if self.index is not None:
+            self.index.clear()

@@ -10,7 +10,9 @@ invalidation is explicit:
   exec credential commit, orphaning every cached decision made under
   the old credentials;
 * **object entries** are flushed (by path prefix) on chmod, chown,
-  unlink, rename, and mount-table changes;
+  unlink, rename, and mount-table changes — the cache hears these
+  through the generation hub's path fan-out, like every path-keyed
+  cache;
 * the cache is **flushed globally** when a security module's policy
   reloads — an AppArmor profile (un)load, a /proc/protego policy
   write, or a monitoring-daemon fstab/sudoers/bind sync.
@@ -21,7 +23,6 @@ surfaced at ``/proc/protego/audit``.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 from typing import Any, Callable, Optional, Tuple, TYPE_CHECKING
 
@@ -30,7 +31,7 @@ from repro.kernel.errno import Errno, SyscallError
 from repro.kernel.fault import SITE_AVC_ALLOC, FaultSite
 from repro.kernel.generations import GenerationHub
 from repro.kernel.lsm import HookResult, LSMChain
-from repro.kernel.pathindex import PathIndex
+from repro.kernel.pathindex import BoundedTable
 from repro.kernel.security.access import (
     OBJ,
     AccessRequest,
@@ -103,26 +104,31 @@ class SecurityServer:
         self.lsm = lsm
         self._clock = clock_fn or (lambda: 0)
         self.cache_enabled = True
-        self.cache_size = cache_size
-        self._cache: "collections.OrderedDict[Tuple, Decision]" = collections.OrderedDict()
-        # Reverse obj->keys index: object invalidation touches only
-        # the affected decisions, not the whole cache.
-        self._index = PathIndex()
+        #: Keyed by _key(); the object (index 5) is path-indexed.
+        #: Simulated AVC-node allocation failure: an armed fault site
+        #: makes the insert a counted no-op, so decisions degrade to
+        #: fresh computation. Rebound to the kernel's injector at boot.
+        self._cache = BoundedTable(cache_size, path_at=5,
+                                   fault_site=FaultSite(SITE_AVC_ALLOC))
         #: Credential epochs come from the shared generation hub, so
         #: one allocator serves the decision cache, the dcache's
         #: permission maps, and the fused fast-path keys.
         self.generations = generations if generations is not None \
             else GenerationHub()
+        self.generations.subscribe_paths(self._invalidate_prefix)
         self.audit = AuditRing(audit_size)
         self.stats = CacheStats()
-        # The VFS dentry cache, when attached, shares this server's
-        # invalidation call sites: the syscall layer announces each
-        # namespace/attribute mutation once and both caches hear it.
+        # The VFS dentry cache, when attached, drops its permission
+        # maps whenever this server's policy flushes.
         self._dcache = None
-        #: Simulated AVC-node allocation failure: an armed site makes
-        #: the cache insert a counted no-op, so decisions degrade to
-        #: fresh computation. Rebound to the kernel's injector at boot.
-        self.fault_site = FaultSite(SITE_AVC_ALLOC)
+
+    @property
+    def fault_site(self) -> FaultSite:
+        return self._cache.fault_site
+
+    @fault_site.setter
+    def fault_site(self, site: FaultSite) -> None:
+        self._cache.fault_site = site
 
     # ------------------------------------------------------------------
     # The monitor
@@ -135,7 +141,6 @@ class SecurityServer:
             hit = self._cache.get(key)
             if hit is not None:
                 self.stats.hits += 1
-                self._cache.move_to_end(key)
                 self._record(req, hit, cached=True)
                 return hit
             self.stats.misses += 1
@@ -156,15 +161,9 @@ class SecurityServer:
             # the insert so a decision-cache hit replays the flag.
             if decision.errno not in _FASTPATH_UNCACHEABLE_ERRNOS:
                 object.__setattr__(decision, "fastpath_ok", True)
-            if decision.errno not in _UNCACHEABLE_ERRNOS:
-                if self.fault_site.armed and self.fault_site.should_fail(req.hook):
-                    self.stats.alloc_failures += 1
-                else:
-                    self._cache[key] = decision
-                    self._index.add(key[5], key)
-                    if len(self._cache) > self.cache_size:
-                        evicted_key, _ = self._cache.popitem(last=False)
-                        self._index.discard(evicted_key[5], evicted_key)
+            if (decision.errno not in _UNCACHEABLE_ERRNOS
+                    and not self._cache.put(key, decision)):
+                self.stats.alloc_failures += 1
         self._record(req, decision, cached=False)
         return decision
 
@@ -277,28 +276,21 @@ class SecurityServer:
         return task.cred_epoch
 
     def attach_dcache(self, dcache) -> None:
-        """Tie the VFS dentry cache into this server's invalidation
-        fan-out (set up by the kernel at boot)."""
+        """Have the VFS dentry cache drop its permission maps on every
+        policy flush (set up by the kernel at boot)."""
         self._dcache = dcache
 
-    def invalidate_object(self, obj: str) -> int:
-        """Drop cached decisions about *obj* and (for paths) anything
-        beneath it — a chmod on a directory changes the search
-        permission of every descendant walk. Path invalidations are
-        forwarded to the dentry cache so namespace mutations clear
-        stale (including negative) walk entries too."""
-        stale = self._index.collect(obj)
-        for key in stale:
-            self._cache.pop(key, None)
-        if stale:
+    def invalidate_object(self, obj: str) -> None:
+        """*obj* changed: every path-keyed cache on the hub — this
+        decision cache, the dentry cache and the fused verdict table —
+        drops what it holds about *obj* and (for paths) anything
+        beneath it, since a chmod on a directory changes the search
+        permission of every descendant walk."""
+        self.generations.invalidate_path(obj)
+
+    def _invalidate_prefix(self, obj: str) -> None:
+        if self._cache.invalidate_prefix(obj):
             self.stats.invalidations += 1
-        if obj.startswith("/"):
-            if self._dcache is not None:
-                self._dcache.invalidate_prefix(obj)
-            # Fan the prefix out to every path-keyed cache on the hub
-            # (the fused verdict table subscribes at kernel boot).
-            self.generations.invalidate_path(obj)
-        return len(stale)
 
     def flush(self, reason: str = "") -> None:
         """Global invalidation: a policy layer reloaded. The dentry
@@ -306,7 +298,6 @@ class SecurityServer:
         is policy-independent and stays warm); the policy-generation
         bump orphans every fused fast-path verdict at once."""
         self._cache.clear()
-        self._index.clear()
         self.stats.flushes += 1
         self.generations.bump_policy()
         if self._dcache is not None:

@@ -119,10 +119,11 @@ class SyscallMixin:
         existing sweep schedules keep their meaning), then check the
         task's SFIP-style permitted-syscall bitmask.
 
-        The bitmask check is :meth:`EntryGate.check` inlined — this is
-        the hottest line in the kernel (every syscall passes here) and
-        the call overhead alone is measurable against the fused-table
-        probe. Keep the two in lockstep.
+        The bitmask check is the gate's warm path, done here rather
+        than behind a method call: this is the hottest line in the
+        kernel (every syscall passes here) and the call overhead alone
+        is measurable against the fused-table probe. ``sys_open`` and
+        ``sys_stat`` carry inlined copies of this method.
         """
         self.clock += 1
         if self._syscall_fault.armed and name in FAULTABLE_SYSCALLS:
@@ -346,7 +347,7 @@ class SyscallMixin:
                     files[fd] = open_file
                     fdtable._next_fd = fd + 1
                     return fd
-                del fastpath._table[fp_key]
+                fastpath._table.drop(fp_key)
                 fstats.stale_evictions += 1
                 fstats.misses += 1
             else:
@@ -526,7 +527,7 @@ class SyscallMixin:
                 inode = hit.inode
             else:
                 if hit is not None:
-                    del fastpath._table[fp_key]
+                    fastpath._table.drop(fp_key)
                     fstats.stale_evictions += 1
                 fstats.misses += 1
                 # The oracle in verdict form: one cached walk plus the

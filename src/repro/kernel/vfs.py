@@ -161,10 +161,8 @@ class VFS:
         return mount
 
     def _notify_path_change(self, path: str) -> None:
-        """A pseudo-filesystem grafted files in under *path*: drop the
-        dcache prefix and fan the invalidation out to every path-keyed
-        cache subscribed to the hub (the fused verdict table)."""
-        self.dcache.invalidate_prefix(path)
+        """A pseudo-filesystem grafted files in under *path*: fan the
+        invalidation out to every path-keyed cache on the hub."""
         self.generations.invalidate_path(path)
 
     def _note_mount_change(self) -> None:

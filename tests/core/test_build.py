@@ -1,7 +1,4 @@
-"""The consolidated construction entry point: one recipe, any mode,
-plus the deprecation shim over the old scattered constructors."""
-
-import warnings
+"""The consolidated construction entry point: one recipe, any mode."""
 
 import pytest
 
@@ -50,14 +47,3 @@ class TestSystemConfig:
         system = build_system(config, SystemMode.PROTEGO)
         assert "/bin/true" in system.apparmor._profiles
 
-
-class TestDeprecatedShim:
-    def test_scenarios_build_warns_and_delegates(self):
-        from repro.scenarios.build import build_system as old_build
-        spec = generate_scenario(0, 2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            system = old_build(spec, SystemMode.PROTEGO)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert system.mode is SystemMode.PROTEGO

@@ -125,6 +125,24 @@ class TestGenerationStaleness:
         kernel.sys_stat(root, path)
         assert kernel.fastpath.stats.stale_evictions == stale_before + 2
 
+    def test_stale_fused_probes_drop_their_index_entries(self, kernel, root):
+        # sys_stat and sys_open evict a stale entry inline; the path
+        # index must lose the key too, or later prefix invalidations
+        # count keys that are no longer in the table.
+        path = _deep_file(kernel, root)
+        kernel.sys_stat(root, path)
+        kernel.sys_close(root, kernel.sys_open(root, path))
+        kernel.sys_mkdir(root, "/mnt2")
+        kernel.sys_mount(root, "tmpfs", "/mnt2", "tmpfs")
+        stale_before = kernel.fastpath.stats.stale_evictions
+        with kernel.faults.inject(SITE_FASTPATH_INSERT):  # no re-put
+            kernel.sys_stat(root, path)
+            kernel.sys_close(root, kernel.sys_open(root, path))
+        assert kernel.fastpath.stats.stale_evictions == stale_before + 2
+        table = kernel.fastpath._table
+        indexed = {key for keys in table.index._keys.values() for key in keys}
+        assert indexed <= set(table)
+
     def test_policy_flush_orphans_every_fused_entry(self, kernel, root):
         path = _deep_file(kernel, root)
         kernel.sys_stat(root, path)
