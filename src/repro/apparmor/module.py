@@ -98,8 +98,7 @@ class AppArmorLSM(SecurityModule):
             needed |= AccessMode.READ
         if accmode in (modes.O_WRONLY, modes.O_RDWR):
             needed |= AccessMode.WRITE
-        allowed, _generation = profile.allows_path_verdict(path, needed)
-        if allowed:
+        if profile.allows_path(path, needed):
             return HookResult.PASS
         return self._deny(profile, f"{task.exe_path}: open {path} denied")
 

@@ -22,8 +22,8 @@ from repro.kernel.capabilities import Capability
 
 #: Module-wide profile-generation allocator: every (re)compile of any
 #: profile's automaton draws the next value, so a profile's
-#: ``generation`` names exactly one compiled ruleset. The fused fast
-#: path records it via :meth:`Profile.allows_path_verdict`.
+#: ``generation`` names exactly one compiled ruleset (rendered in
+#: /proc/protego/policy).
 _profile_generations = iter(range(1, 1 << 62)).__next__
 
 
@@ -127,15 +127,6 @@ class Profile:
         accepting state already carries the union of every matching
         rule's mode bits."""
         return (self.automaton.match_mask(path) & mode.value) == mode.value
-
-    def allows_path_verdict(self, path: str,
-                            mode: AccessMode) -> Tuple[bool, int]:
-        """:meth:`allows_path` in verdict form: ``(allowed,
-        profile_generation)``. The generation names the compiled
-        ruleset that produced the answer — the dependency a fused
-        verdict records so a profile reload is detectable."""
-        allowed = (self.automaton.match_mask(path) & mode.value) == mode.value
-        return allowed, self.generation
 
     def allows_path_linear(self, path: str, mode: AccessMode) -> bool:
         """The pre-compilation O(rules x len(path)) scan, kept as the

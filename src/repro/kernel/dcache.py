@@ -4,18 +4,20 @@ The simulator's Table 5 gap (stat +12.6%, mount/umnt +30% where the
 paper reports ~0-1%) is walk cost, not policy cost: every path-taking
 syscall re-walked each component, and most walked *twice* — once to
 resolve and once to check search permission. This module memoizes the
-walk the way Linux's dcache does, with the same three invalidation
-generations the PR 1 decision cache established:
+walk the way Linux's dcache does. Every invalidation arrives through
+the :class:`~repro.kernel.generations.GenerationHub`, the one route
+every kernel cache shares:
 
-* **mount epoch** — a global generation embedded in every path key,
-  bumped on any mount-table change (mount/umount/pivot). Old entries
-  become unreachable at once; the table is dropped eagerly to bound
-  memory.
+* **mount bump** — any mount-table change (mount/umount/pivot)
+  empties the path map at once: every cached walk went through the
+  old table.
+* **policy bump** — a policy reload empties the permission maps; the
+  credential-independent path map stays warm.
 * **path prefix** — `invalidate_prefix(path)` on namespace mutations
   (create/unlink/rename/rmdir/symlink/link) and attribute changes
-  (chmod/chown) drops the path's entries and every descendant's. The
-  cache subscribes it to the generation hub's path fan-out, so the
-  syscall layer keeps a single invalidation call site per mutation.
+  (chmod/chown) drops the path's entries and every descendant's, so
+  the syscall layer keeps a single invalidation call site per
+  mutation.
 * **cred epoch** — permission entries are keyed on the caller's
   credential epoch (bumped by setuid/setgid/setgroups/exec commits),
   so a credential change orphans its permission entries without
@@ -42,7 +44,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.kernel.errno import Errno
 from repro.kernel.fault import SITE_DCACHE_ALLOC, FaultSite
-from repro.kernel.generations import GenerationHub
+from repro.kernel.generations import MOUNT, GenerationHub
 from repro.kernel.inode import Inode
 from repro.kernel.pathindex import BoundedTable
 
@@ -114,9 +116,8 @@ class DentryCache:
     def __init__(self, max_entries: int = 4096, max_creds: int = 256,
                  generations: Optional[GenerationHub] = None):
         self.enabled = True
-        #: The shared generation authority; the mount-table generation
-        #: (part of every path key) lives there so the fused fast path
-        #: sees the same epoch this cache keys on.
+        #: The shared generation authority: mount and policy bumps and
+        #: path invalidations reach this cache through it.
         self.generations = generations if generations is not None \
             else GenerationHub()
         #: Simulated dentry-allocation failure: an armed site makes
@@ -124,8 +125,8 @@ class DentryCache:
         #: cache degrades to uncached walks — never to a wrong answer.
         #: Rebound to the kernel's shared injector at boot.
         site = FaultSite(SITE_DCACHE_ALLOC)
-        #: (mount_epoch, path, follow) -> Dentry
-        self._entries = BoundedTable(max_entries, path_at=1, fault_site=site)
+        #: (path, follow) -> Dentry
+        self._entries = BoundedTable(max_entries, path_at=0, fault_site=site)
         #: (cred_epoch, cred) -> {(ino, generation, mask) -> errno|None}
         self._perms = BoundedTable(max_creds, fault_site=site)
         #: One-slot (epoch, cred, map) memo for the last caller: the
@@ -134,6 +135,7 @@ class DentryCache:
         self._last_perms: Optional[Tuple] = None
         self.stats = DcacheStats()
         self.generations.subscribe_paths(self.invalidate_prefix)
+        self.generations.subscribe_bumps(self._on_bump)
 
     @property
     def fault_site(self) -> FaultSite:
@@ -143,19 +145,14 @@ class DentryCache:
     def fault_site(self, site: FaultSite) -> None:
         self._entries.fault_site = self._perms.fault_site = site
 
-    @property
-    def mount_epoch(self) -> int:
-        """The mount-table generation (hub-owned; part of every key)."""
-        return self.generations.mount
-
     # ------------------------------------------------------------------
     # Path map
     # ------------------------------------------------------------------
     def get(self, path: str, follow: bool) -> Optional[Dentry]:
-        return self._entries.get((self.mount_epoch, path, follow))
+        return self._entries.get((path, follow))
 
     def put(self, path: str, follow: bool, entry: Dentry) -> None:
-        if not self._entries.put((self.mount_epoch, path, follow), entry):
+        if not self._entries.put((path, follow), entry):
             self.stats.alloc_failures += 1
 
     # ------------------------------------------------------------------
@@ -181,18 +178,18 @@ class DentryCache:
         return perms
 
     # ------------------------------------------------------------------
-    # Invalidation (the three generations)
+    # Invalidation (every route arrives through the hub)
     # ------------------------------------------------------------------
-    def bump_mount_epoch(self) -> int:
-        """The mount table changed: every cached walk is suspect. The
-        epoch in the key orphans them; dropping eagerly bounds memory.
-        The bump goes through the hub, which also advances the composed
-        generation the fused fast path stamps."""
-        epoch = self.generations.bump_mount()
-        if self._entries:
-            self.stats.invalidations += 1
-            self._entries.clear()
-        return epoch
+    def _on_bump(self, domain: str) -> None:
+        """A mount bump empties the path map (every cached walk went
+        through the old mount table); a policy bump drops the
+        permission maps."""
+        if domain == MOUNT:
+            if self._entries:
+                self.stats.invalidations += 1
+                self._entries.clear()
+        else:
+            self.flush_permissions()
 
     def invalidate_prefix(self, path: str) -> int:
         """Drop *path*'s entries and every descendant's (a rename of a
@@ -224,14 +221,15 @@ class DentryCache:
 
     def cached_paths(self):
         """The path identities currently cached (tests poke this)."""
-        return {key[1] for key in self._entries}
+        return {key[0] for key in self._entries}
 
     def render(self) -> str:
         """The /proc/protego/dcache payload."""
         s = self.stats
         return (
             f"entries={len(self._entries)} perm_creds={len(self._perms)} "
-            f"mount_epoch={self.mount_epoch} enabled={int(self.enabled)}\n"
+            f"mount_epoch={self.generations.mount} "
+            f"enabled={int(self.enabled)}\n"
             f"lookups={s.lookups} hits={s.hits} misses={s.misses} "
             f"negative_hits={s.negative_hits} hit_rate={s.hit_rate:.3f}\n"
             f"walks={s.walks} perm_hits={s.perm_hits} "

@@ -10,17 +10,13 @@ syscalls a task may issue next is a pure function of slow-changing
 state (its binary, its confinement), so membership can be one AND
 against a cached integer instead of a policy walk.
 
-Two sources narrow a task's mask from :data:`ALL_MASK`:
-
-* :meth:`EntryGate.restrict` — a per-task confinement set (seccomp's
-  strict mode, Protego's unprivileged helpers).
-* :meth:`EntryGate.bind_binary` — a per-binary allowlist keyed by
-  ``task.exe_path`` (the groundwork for KASR-style per-binary syscall
-  profiles; ROADMAP item 5).
+One source narrows a task's mask from :data:`ALL_MASK`:
+:meth:`EntryGate.restrict`, a per-task confinement set (seccomp's
+strict mode, Protego's unprivileged helpers).
 
 The computed mask is cached on the task (``task.entry_mask``) and
-revalidated by two integer compares: the task's credential epoch and
-the gate's own generation (bumped when a binary binding changes).
+revalidated by one integer compare against the task's credential
+epoch, so a credential commit recomputes it.
 A rejected syscall raises ``EPERM`` before the kernel looks at a
 single argument. The ``entry.mask`` fault site fails **closed**: under
 an injected fault the gate still computes the correct mask — it only
@@ -30,7 +26,7 @@ what it may call.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 #: Every syscall the dispatcher exports, in dispatch-table order. The
 #: bit positions are ABI: a persisted or /proc-rendered mask is only
@@ -97,22 +93,14 @@ class EntryGate:
     def __init__(self, fault_site=None):
         self.stats = EntryGateStats()
         self.fault_site = fault_site
-        #: exe_path -> permitted mask (KASR-style per-binary allowlists).
-        self._binary_masks: Dict[str, int] = {}
-        #: Bumped whenever a binary binding changes, so cached per-task
-        #: masks revalidate with one integer compare.
-        self.generation = 0
 
     # ------------------------------------------------------------------
-    # The warm check (two int compares, no allocation) runs inline in
+    # The warm check (one int compare, no allocation) runs inline in
     # the kernel's syscall preamble; a cold or stale mask lands here.
     # ------------------------------------------------------------------
     def _revalidate(self, task) -> int:
         self.stats.mask_recomputes += 1
         mask = ALL_MASK
-        binary_mask = self._binary_masks.get(task.exe_path)
-        if binary_mask is not None:
-            mask &= binary_mask
         allowed = task.entry_allowed
         if allowed is not None:
             mask &= mask_for(allowed)
@@ -124,7 +112,6 @@ class EntryGate:
             return mask
         task.entry_mask = mask
         task.entry_epoch = task.cred_epoch
-        task.entry_gen = self.generation
         return mask
 
     # ------------------------------------------------------------------
@@ -143,19 +130,6 @@ class EntryGate:
         task.entry_allowed = None
         task.entry_mask = None
 
-    def bind_binary(self, exe_path: str, names: Optional[Iterable[str]]) -> None:
-        """Bind (or with ``None``, unbind) a per-binary allowlist for
-        *exe_path*. Bumps the gate generation so every task's cached
-        mask revalidates on its next entry."""
-        if names is None:
-            self._binary_masks.pop(exe_path, None)
-        else:
-            self._binary_masks[exe_path] = mask_for(names)
-        self.generation += 1
-
-    def binary_mask(self, exe_path: str) -> Optional[int]:
-        return self._binary_masks.get(exe_path)
-
     # ------------------------------------------------------------------
     def render(self) -> str:
         """Stat lines for /proc/protego/fastpath."""
@@ -164,7 +138,5 @@ class EntryGate:
             f"entry_checks={s.checks} mask_hits={s.mask_hits} "
             f"mask_recomputes={s.mask_recomputes} "
             f"uncached_recomputes={s.uncached_recomputes}\n"
-            f"bitmask_rejections={s.rejections} "
-            f"bound_binaries={len(self._binary_masks)} "
-            f"gate_generation={self.generation}\n"
+            f"bitmask_rejections={s.rejections}\n"
         )

@@ -6,8 +6,9 @@ verdicts, the AppArmor DFA memoizes rule matching. A warm ``open()``
 still pays all three probes, each with its own key build and its own
 invalidation scheme. This table is the SELinux-AVC idea taken to its
 conclusion: cache the **final** outcome of a whole access — the
-errno-or-allow plus the resolved inode — under one key, guarded by
-one staleness check.
+errno-or-allow plus the resolved inode — under one key. Because every
+invalidation empties the affected entries at once (below), an entry
+present in the table is a valid verdict and a probe is one dict get.
 
 Key: ``(op|mask, path, sid)``.
 
@@ -28,13 +29,12 @@ Key: ``(op|mask, path, sid)``.
   matters because Protego's binary ACLs make the verdict depend on
   *which program* is asking, not just whose uid.
 
-Each entry stamps the hub's **composed generation** at insert time.
-A probe compares two integers: stamp vs. the current composed
-generation. Any mount-table change or policy reload advances the
-composed generation and thereby orphans every entry at once (counted
-as ``stale_evictions`` when next probed); attribute changes and
-namespace mutations arrive as **prefix invalidations** through the
-hub's path fan-out, exactly like the dcache's.
+Every invalidation arrives through the hub. A mount-table change or a
+policy reload empties the whole table at once (the dropped entries
+are counted as ``stale_evictions``); attribute changes and namespace
+mutations arrive as **prefix invalidations** through the hub's path
+fan-out, exactly like the dcache's. A credential commit touches
+nothing: the fresh epoch keys the subject's new entries apart.
 
 What may be fused is decided by the *insert* side (the syscall layer):
 only verdicts whose walk left a dentry behind (the dcache's own
@@ -69,18 +69,20 @@ class FastVerdict:
     (with errno + attribution context), plus the audit row suffix
     recorded when the verdict is served from the table."""
 
-    __slots__ = ("inode", "errno", "context", "audit_suffix", "stamp")
+    __slots__ = ("inode", "errno", "context", "audit_suffix")
 
     def __init__(self, inode, errno, context: str,
-                 audit_suffix: Optional[Tuple], stamp: int):
+                 audit_suffix: Optional[Tuple]):
         self.inode = inode
         self.errno = errno
         self.context = context
         self.audit_suffix = audit_suffix
-        self.stamp = stamp
 
 
 class FastPathStats:
+    """Fused-table counters. ``stale_evictions`` counts the entries a
+    mount or policy bump dropped."""
+
     __slots__ = ("hits", "misses", "stale_evictions",
                  "insertions", "invalidations", "flushes", "alloc_failures")
 
@@ -110,26 +112,20 @@ class FastPathTable:
         self._table = BoundedTable(max_entries, path_at=1,
                                    fault_site=fault_site)
         generations.subscribe_paths(self.invalidate_prefix)
+        generations.subscribe_bumps(self._on_bump)
 
     def __len__(self) -> int:
         return len(self._table)
 
     # ------------------------------------------------------------------
-    # The hot path: one dict get and two int compares (a hit never
-    # reorders the FIFO table).
+    # The hot path: one dict get (a hit never reorders the FIFO table).
     # ------------------------------------------------------------------
     def get(self, key: Tuple) -> Optional[FastVerdict]:
-        stats = self.stats
         entry = self._table.get(key)
         if entry is None:
-            stats.misses += 1
-            return None
-        if entry.stamp != self.generations.generation:
-            self._table.drop(key)
-            stats.stale_evictions += 1
-            stats.misses += 1
-            return None
-        stats.hits += 1
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
         return entry
 
     def put(self, key: Tuple, inode, errno, context: str,
@@ -137,8 +133,7 @@ class FastPathTable:
         # Under a fault the caller already holds the layered verdict;
         # the table just declines to remember it.
         if self._table.put(key, FastVerdict(inode, errno, context,
-                                            audit_suffix,
-                                            self.generations.generation)):
+                                            audit_suffix)):
             self.stats.insertions += 1
         else:
             self.stats.alloc_failures += 1
@@ -150,6 +145,12 @@ class FastPathTable:
         """Drop every verdict for *path* or anything beneath it (the
         hub's path fan-out lands here)."""
         self.stats.invalidations += self._table.invalidate_prefix(path)
+
+    def _on_bump(self, _domain: str) -> None:
+        """A mount or policy bump: every fused verdict depends on both
+        the mount table and the policy, so the whole table goes."""
+        self.stats.stale_evictions += len(self._table)
+        self._table.clear()
 
     def flush(self) -> None:
         self._table.clear()

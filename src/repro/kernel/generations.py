@@ -1,75 +1,81 @@
 """One generation authority for every access-relevant cache.
 
 PRs 1–5 each grew an ad-hoc counter scheme: the dentry cache kept its
-own ``mount_epoch``, the security server minted credential epochs from
-a private ``itertools.count``, and policy reloads were only visible as
-whole-cache flushes. Three schemes is two too many once a single
-fused verdict table (:mod:`repro.kernel.fastpath`) has to know whether
-*any* of its dependencies moved.
+own mount epoch, the security server minted credential epochs from a
+private ``itertools.count``, and policy reloads were only visible as
+whole-cache flushes. The :class:`GenerationHub` folds them into named
+domains — ``mount``, ``policy``, ``cred`` — and is the **only
+invalidation route** for every cache that depends on them:
 
-The :class:`GenerationHub` folds them into named domains — ``mount``,
-``policy``, ``cred`` — plus one **composed generation**: a single
-monotonically-advancing integer bumped by any mount-table change or
-policy reload. A fused verdict stamps the composed generation at
-insert time; its staleness check is then one integer comparison,
-however many subsystems could have invalidated it. Credential commits
-deliberately do *not* advance the composed generation: the credential
-epoch is part of every fused key, so a setuid orphans its entries by
-keying rather than by stamping (bumping the world on every setuid
-would evict every other subject's verdicts).
+* ``bump_mount`` / ``bump_policy`` call every bump subscriber with the
+  domain name, and each cache empties what depends on that domain at
+  once. Nothing is left behind to be found stale on a later probe, so
+  a hit is simply an entry being present, and a missed invalidation
+  can only be a missing subscription.
+* ``invalidate_path`` calls every path subscriber (the decision cache,
+  the dentry cache, the fused table), so each namespace or attribute
+  mutation has a single invalidation call site.
 
-The hub is also the only route for **path-prefix invalidation**:
-every path-keyed cache (the decision cache, the dentry cache, the
-fused table) subscribes in its constructor and receives every
-``invalidate_path`` a mutation syscall or a pseudo-fs graft announces,
-so each mutation has a single invalidation call site.
+Credential commits call no subscriber: the credential epoch is part
+of every subject-keyed entry, so a setuid orphans its own entries by
+keying (clearing the world on every setuid would evict every other
+subject's verdicts).
 """
 
 from __future__ import annotations
 
 from typing import Callable, List
 
+#: The domain names a bump subscriber is called with.
+MOUNT = "mount"
+POLICY = "policy"
+
 
 class GenerationHub:
-    """Named generation domains plus one composed stamp.
+    """Named generation domains plus the invalidation fan-out.
 
-    * :attr:`mount` — the mount-table generation (the dcache's old
-      ``mount_epoch``); bumped by exactly 1 per mount/umount.
+    * :attr:`mount` — the mount-table generation; bumped by exactly 1
+      per mount/umount.
     * :attr:`policy` — the policy generation; bumped on every security
       server flush (profile (un)load, /proc policy write, module
       registration).
     * :attr:`cred` — the credential-epoch allocator; every credential
       commit (and every task creation) draws a fresh epoch so a
       ``(cred_epoch, cred)`` pair names one immutable subject identity.
-    * :attr:`generation` — the composed stamp: advanced by any mount
-      or policy bump. One ``int`` compare answers "did anything a
-      fused verdict depends on change?".
     """
 
-    __slots__ = ("mount", "policy", "cred", "generation", "_path_listeners")
+    __slots__ = ("mount", "policy", "cred", "_bump_listeners",
+                 "_path_listeners")
 
     def __init__(self) -> None:
         self.mount = 0
         self.policy = 0
         self.cred = 0
-        self.generation = 0
+        self._bump_listeners: List[Callable[[str], object]] = []
         self._path_listeners: List[Callable[[str], object]] = []
 
     # ------------------------------------------------------------------
     # Domain bumps
     # ------------------------------------------------------------------
+    def subscribe_bumps(self, listener: Callable[[str], object]) -> None:
+        """Register a cache's bump handler; it is called with
+        :data:`MOUNT` or :data:`POLICY`, in subscription order."""
+        self._bump_listeners.append(listener)
+
     def bump_mount(self) -> int:
-        """The mount table changed: every cached walk and every fused
-        verdict is suspect."""
+        """The mount table changed: every subscriber drops what a walk
+        through the old table produced."""
         self.mount += 1
-        self.generation += 1
+        for listener in self._bump_listeners:
+            listener(MOUNT)
         return self.mount
 
     def bump_policy(self) -> int:
-        """A policy layer reloaded: every cached decision and every
-        fused verdict is suspect."""
+        """A policy layer reloaded: every subscriber drops what the old
+        policy decided."""
         self.policy += 1
-        self.generation += 1
+        for listener in self._bump_listeners:
+            listener(POLICY)
         return self.policy
 
     def next_cred_epoch(self) -> int:
@@ -95,8 +101,7 @@ class GenerationHub:
     # ------------------------------------------------------------------
     def render(self) -> str:
         """One line of generation state (embedded in /proc payloads)."""
-        return (f"generation={self.generation} mount={self.mount} "
-                f"policy={self.policy} cred={self.cred}")
+        return f"mount={self.mount} policy={self.policy} cred={self.cred}"
 
     def __repr__(self) -> str:
         return f"GenerationHub({self.render()})"

@@ -67,9 +67,9 @@ class Kernel(SyscallMixin):
         # guarded by a single `site.armed` load when disarmed.
         self.faults = FaultInjector()
         # One generation authority for every access-relevant cache:
-        # mount and policy bumps advance a single composed generation
-        # the fused fast path stamps; credential epochs are minted here
-        # too so no two subjects ever share one.
+        # mount and policy bumps and path invalidations reach every
+        # subscribed cache through it; credential epochs are minted
+        # here too so no two subjects ever share one.
         self.generations = GenerationHub()
         self.vfs = VFS(generations=self.generations)
         self.devices = DeviceRegistry()
@@ -82,16 +82,15 @@ class Kernel(SyscallMixin):
         # reaches them all.
         self.security_server = SecurityServer(self.lsm, clock_fn=self.now,
                                               generations=self.generations)
-        self.security_server.attach_dcache(self.vfs.dcache)
         # Bound-method shortcut for the fused open(2) hit path: the
         # ring is created once and never replaced, so the three
         # attribute hops per audit replay collapse to one load.
         self._audit_fused = self.security_server.audit.record_fused
         # The fused fast path: final open/stat/access verdicts keyed on
         # (op|mask, path, subject-id) — the sid interning (cred epoch,
-        # cred, exe) — guarded by the hub's composed generation; prefix
-        # invalidations arrive via the hub's path fan-out. The layered
-        # walk below stays the oracle.
+        # cred, exe). Mount and policy bumps empty it and prefix
+        # invalidations arrive via the hub. The layered walk below
+        # stays the oracle.
         self.fastpath = FastPathTable(
             self.generations, fault_site=self.faults.site(SITE_FASTPATH_INSERT))
         self._fp_sids: dict = {}

@@ -151,11 +151,6 @@ class BoundedTable(OrderedDict):
                 self.index.discard(evicted[at], evicted)
         return True
 
-    def drop(self, key: Tuple) -> None:
-        self.pop(key, None)
-        if self.path_at is not None:
-            self.index.discard(key[self.path_at], key)
-
     def invalidate_prefix(self, path: str) -> int:
         """Drop every entry whose path is *path* or lies beneath it;
         returns how many went."""

@@ -118,9 +118,6 @@ class SecurityServer:
         self.generations.subscribe_paths(self._invalidate_prefix)
         self.audit = AuditRing(audit_size)
         self.stats = CacheStats()
-        # The VFS dentry cache, when attached, drops its permission
-        # maps whenever this server's policy flushes.
-        self._dcache = None
 
     @property
     def fault_site(self) -> FaultSite:
@@ -167,13 +164,12 @@ class SecurityServer:
         self._record(req, decision, cached=False)
         return decision
 
-    def check_verdict(self, req: AccessRequest) -> Tuple[Decision, Tuple[bool, int]]:
-        """:meth:`check` in verdict form: ``(decision, (fastpath_ok,
-        composed_generation))``. The dependency tuple names what a
-        fused caller must record: whether any layer vetoed memoization
-        and the composed generation the decision was computed under."""
+    def check_verdict(self, req: AccessRequest) -> Tuple[Decision, bool]:
+        """:meth:`check` in verdict form: ``(decision, fastpath_ok)``.
+        The flag names what a fused caller must know: whether any layer
+        vetoed memoization."""
         decision = self.check(req)
-        return decision, (decision.fastpath_ok, self.generations.generation)
+        return decision, decision.fastpath_ok
 
     def capable(self, task: "Task", cap: Capability, context: str = "") -> bool:
         """The kernel's single capability funnel, as a cached, audited
@@ -275,11 +271,6 @@ class SecurityServer:
         self.stats.invalidations += 1
         return task.cred_epoch
 
-    def attach_dcache(self, dcache) -> None:
-        """Have the VFS dentry cache drop its permission maps on every
-        policy flush (set up by the kernel at boot)."""
-        self._dcache = dcache
-
     def invalidate_object(self, obj: str) -> None:
         """*obj* changed: every path-keyed cache on the hub — this
         decision cache, the dentry cache and the fused verdict table —
@@ -293,15 +284,13 @@ class SecurityServer:
             self.stats.invalidations += 1
 
     def flush(self, reason: str = "") -> None:
-        """Global invalidation: a policy layer reloaded. The dentry
-        cache drops its permission entries in sympathy (its path map
-        is policy-independent and stays warm); the policy-generation
-        bump orphans every fused fast-path verdict at once."""
+        """Global invalidation: a policy layer reloaded. Clears this
+        decision cache and bumps the hub's policy generation, which
+        empties every subscribed cache that depends on policy (the
+        dentry cache's permission maps, the fused fast path)."""
         self._cache.clear()
         self.stats.flushes += 1
         self.generations.bump_policy()
-        if self._dcache is not None:
-            self._dcache.flush_permissions()
 
     def cache_len(self) -> int:
         return len(self._cache)

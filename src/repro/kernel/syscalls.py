@@ -122,8 +122,9 @@ class SyscallMixin:
         The bitmask check is the gate's warm path, done here rather
         than behind a method call: this is the hottest line in the
         kernel (every syscall passes here) and the call overhead alone
-        is measurable against the fused-table probe. ``sys_open`` and
-        ``sys_stat`` carry inlined copies of this method.
+        is measurable against the fused-table probe. ``sys_open``,
+        ``sys_stat`` and ``sys_close`` carry inlined copies of this
+        method.
         """
         self.clock += 1
         if self._syscall_fault.armed and name in FAULTABLE_SYSCALLS:
@@ -131,8 +132,7 @@ class SyscallMixin:
         gate = self.entry_gate
         stats = gate.stats
         mask = task.entry_mask
-        if (mask is None or task.entry_epoch != task.cred_epoch
-                or task.entry_gen != gate.generation):
+        if mask is None or task.entry_epoch != task.cred_epoch:
             mask = gate._revalidate(task)
         else:
             stats.mask_hits += 1
@@ -287,8 +287,7 @@ class SyscallMixin:
         gate = self.entry_gate
         gstats = gate.stats
         emask = task.entry_mask
-        if (emask is None or task.entry_epoch != task.cred_epoch
-                or task.entry_gen != gate.generation):
+        if emask is None or task.entry_epoch != task.cred_epoch:
             emask = gate._revalidate(task)
         else:
             gstats.mask_hits += 1
@@ -314,44 +313,39 @@ class SyscallMixin:
             fstats = fastpath.stats
             hit = fastpath._table.get(fp_key)
             if hit is not None:
-                if hit.stamp == self.generations.generation:
-                    fstats.hits += 1
-                    suffix = hit.audit_suffix
-                    if suffix is not None:
-                        # _fastpath_audit inlined (keep in lockstep).
-                        cred = task.cred
-                        self._audit_fused(self.clock, task.pid, cred.ruid,
-                                          cred.euid, suffix)
-                    if hit.errno is not None:
-                        raise SyscallError(hit.errno, hit.context)
-                    # _install_open_file inlined (keep in lockstep):
-                    # the allow-side tail is most of a fused open.
-                    inode = hit.inode
-                    if (flags & _O_TRUNC and inode.is_regular()
-                            and inode.read_fn is None):
-                        inode.write_bytes(b"")
-                    open_file = _OF_NEW(OpenFile)
-                    open_file.inode = inode
-                    open_file.flags = flags
-                    open_file.path = path
-                    open_file.offset = inode.size() if flags & _O_APPEND \
-                        else 0
-                    open_file.socket = None
-                    fdtable = task.fdtable
-                    files = fdtable._files
-                    fd = fdtable._next_fd
-                    while fd in files:
-                        fd += 1
-                    if fd >= fdtable.max_fds:
-                        raise SyscallError(Errno.EMFILE, "fd table full")
-                    files[fd] = open_file
-                    fdtable._next_fd = fd + 1
-                    return fd
-                fastpath._table.drop(fp_key)
-                fstats.stale_evictions += 1
-                fstats.misses += 1
-            else:
-                fstats.misses += 1
+                fstats.hits += 1
+                suffix = hit.audit_suffix
+                if suffix is not None:
+                    # _fastpath_audit inlined (keep in lockstep).
+                    cred = task.cred
+                    self._audit_fused(self.clock, task.pid, cred.ruid,
+                                      cred.euid, suffix)
+                if hit.errno is not None:
+                    raise SyscallError(hit.errno, hit.context)
+                # _install_open_file inlined (keep in lockstep):
+                # the allow-side tail is most of a fused open.
+                inode = hit.inode
+                if (flags & _O_TRUNC and inode.is_regular()
+                        and inode.read_fn is None):
+                    inode.write_bytes(b"")
+                open_file = _OF_NEW(OpenFile)
+                open_file.inode = inode
+                open_file.flags = flags
+                open_file.path = path
+                open_file.offset = inode.size() if flags & _O_APPEND \
+                    else 0
+                open_file.socket = None
+                fdtable = task.fdtable
+                files = fdtable._files
+                fd = fdtable._next_fd
+                while fd in files:
+                    fd += 1
+                if fd >= fdtable.max_fds:
+                    raise SyscallError(Errno.EMFILE, "fd table full")
+                files[fd] = open_file
+                fdtable._next_fd = fd + 1
+                return fd
+            fstats.misses += 1
         accmode = flags & modes.O_ACCMODE
         mask = _ACCMODE_MASK[accmode]
         if (flags & modes.O_CREAT and flags & modes.O_EXCL
@@ -400,18 +394,7 @@ class SyscallMixin:
         open_file = OpenFile(inode, flags, path)
         if flags & _O_APPEND:
             open_file.offset = inode.size()
-        # FDTable.install inlined (keep in lockstep): the lowest-fd
-        # scan from the next_fd hint, minus the method call.
-        fdtable = task.fdtable
-        files = fdtable._files
-        fd = fdtable._next_fd
-        while fd in files:
-            fd += 1
-        if fd >= fdtable.max_fds:
-            raise SyscallError(Errno.EMFILE, "fd table full")
-        files[fd] = open_file
-        fdtable._next_fd = fd + 1
-        return fd
+        return task.fdtable.install(open_file)
 
     def sys_read(self, task: Task, fd: int, size: int = -1) -> bytes:
         self._enter(task, "read")
@@ -464,8 +447,7 @@ class SyscallMixin:
         gate = self.entry_gate
         gstats = gate.stats
         emask = task.entry_mask
-        if (emask is None or task.entry_epoch != task.cred_epoch
-                or task.entry_gen != gate.generation):
+        if emask is None or task.entry_epoch != task.cred_epoch:
             emask = gate._revalidate(task)
         else:
             gstats.mask_hits += 1
@@ -495,8 +477,7 @@ class SyscallMixin:
         gate = self.entry_gate
         gstats = gate.stats
         emask = task.entry_mask
-        if (emask is None or task.entry_epoch != task.cred_epoch
-                or task.entry_gen != gate.generation):
+        if emask is None or task.entry_epoch != task.cred_epoch:
             emask = gate._revalidate(task)
         else:
             gstats.mask_hits += 1
@@ -519,20 +500,16 @@ class SyscallMixin:
             # call is a measurable share of a fused stat.
             fstats = fastpath.stats
             hit = fastpath._table.get(fp_key)
-            if (hit is not None
-                    and hit.stamp == self.generations.generation):
+            if hit is not None:
                 fstats.hits += 1
                 if hit.errno is not None:
                     raise SyscallError(hit.errno, hit.context)
                 inode = hit.inode
             else:
-                if hit is not None:
-                    fastpath._table.drop(fp_key)
-                    fstats.stale_evictions += 1
                 fstats.misses += 1
                 # The oracle in verdict form: one cached walk plus the
-                # dependency bit saying whether it may be memoized.
-                inode, errno, context, (cacheable, _mount_gen) = \
+                # flag saying whether it may be memoized.
+                inode, errno, context, cacheable = \
                     self.vfs.lookup_verdict(path, task.cred, modes.F_OK,
                                             cred_epoch=task.cred_epoch)
                 if cacheable:

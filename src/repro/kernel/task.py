@@ -69,11 +69,10 @@ class Task:
         # hub at creation so no two subjects ever share an epoch.
         self.cred_epoch: int = 0
         # Syscall-entry gate state (repro.kernel.entry): the cached
-        # permitted-syscall bitmask plus the epoch/generation pair it
-        # was computed under, and the optional per-task confinement set.
+        # permitted-syscall bitmask plus the credential epoch it was
+        # computed under, and the optional per-task confinement set.
         self.entry_mask: Optional[int] = None
         self.entry_epoch: int = -1
-        self.entry_gen: int = -1
         self.entry_allowed: Optional[frozenset] = None
         # Fused fast-path subject id (repro.kernel.fastpath): the
         # interned integer standing for (cred_epoch, cred, exe_path)

@@ -9,9 +9,9 @@ loop limit and crosses mountpoints exactly as Linux's walk does, so
 All resolution funnels through :meth:`VFS.lookup`, which performs the
 component walk *and* the per-directory search-permission checks in a
 single pass and memoizes the result in a Linux-style dentry cache
-(:mod:`repro.kernel.dcache`): positive and negative path entries keyed
-on the mount epoch, permission results keyed on the caller's
-credential epoch and each directory's generation. The historical
+(:mod:`repro.kernel.dcache`): positive and negative path entries
+emptied on every mount-table change, permission results keyed on the
+caller's credential epoch and each directory's generation. The historical
 entry points (``resolve``, ``path_permission``, ``exists``) remain as
 thin wrappers.
 """
@@ -166,9 +166,10 @@ class VFS:
         self.generations.invalidate_path(path)
 
     def _note_mount_change(self) -> None:
-        """The mount table changed: bump the global mount epoch (which
-        orphans every cached walk) and rebuild the covering trie."""
-        self.dcache.bump_mount_epoch()
+        """The mount table changed: bump the hub's mount generation
+        (every subscribed cache drops what walked the old table) and
+        rebuild the covering trie."""
+        self.generations.bump_mount()
         trie: Dict = {}
         for mp, mount in self.mounts.items():
             node = trie
@@ -276,21 +277,18 @@ class VFS:
         cred: Optional[Credentials] = None,
         mask: int = modes.F_OK,
         cred_epoch: int = 0,
-    ) -> Tuple[Optional[Inode], Optional[Errno], str, Tuple[bool, int]]:
+    ) -> Tuple[Optional[Inode], Optional[Errno], str, bool]:
         """:meth:`lookup` in verdict form: ``(inode-or-None, errno-or-
-        None, context, (cacheable, mount_generation))``. The trailing
-        dependency tuple tells a fused-table caller whether this walk
-        may be memoized under prefix invalidation and which mount
-        generation it observed — the ``(verdict, dependency-
-        generations)`` shape the fast path records."""
+        None, context, cacheable)``. The trailing flag tells a
+        fused-table caller whether this walk may be memoized under
+        prefix invalidation (it left a dentry behind)."""
         try:
             inode = self.lookup(path, cred=cred, mask=mask,
                                 cred_epoch=cred_epoch)
         except SyscallError as exc:
             return (None, exc.errno_value, exc.context,
-                    (self.walk_cached(path), self.generations.mount))
-        return (inode, None, "",
-                (self.walk_cached(path), self.generations.mount))
+                    self.walk_cached(path))
+        return inode, None, "", self.walk_cached(path)
 
     def resolve(self, path: str, follow_final_symlink: bool = True) -> Inode:
         """Resolve with no permission enforcement (kernel-internal

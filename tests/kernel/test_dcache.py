@@ -1,5 +1,6 @@
-"""Dentry-cache tests: single-walk lookups, negative entries, and the
-three invalidation generations (mount epoch, path prefix, cred epoch).
+"""Dentry-cache tests: single-walk lookups, negative entries, and every
+invalidation route (mount and policy bumps through the generation hub,
+path prefix, cred epoch).
 
 The structural bar for the refactor is walk count: a cold path-taking
 syscall performs exactly one component walk; a warm one performs zero.
@@ -206,11 +207,17 @@ class TestMutationInvalidation:
         assert kernel.read_file(root, "/mnt/disk/file") == b"under"
 
     def test_mount_change_bumps_the_epoch(self, kernel, root):
-        epoch = kernel.vfs.dcache.mount_epoch
+        hub, dcache = kernel.generations, kernel.vfs.dcache
+        epoch = hub.mount
+        kernel.sys_stat(root, "/etc")
+        assert dcache.entry_count() > 0
         kernel.sys_mount(root, "none", "/mnt", "tmpfs")
-        assert kernel.vfs.dcache.mount_epoch == epoch + 1
+        assert hub.mount == epoch + 1
+        assert dcache.entry_count() == 0
+        kernel.sys_stat(root, "/etc")
         kernel.sys_umount(root, "/mnt")
-        assert kernel.vfs.dcache.mount_epoch == epoch + 2
+        assert hub.mount == epoch + 2
+        assert dcache.entry_count() == 0
 
 
 class TestPermissionInvalidation:
@@ -252,6 +259,17 @@ class TestPermissionInvalidation:
         with pytest.raises(SyscallError) as err:
             kernel.sys_open(root, "/etc/secret")
         assert err.value.errno_value == Errno.EACCES
+
+    def test_policy_flush_empties_the_permission_maps(self, kernel, alice):
+        dcache = kernel.vfs.dcache
+        kernel.sys_stat(alice, "/etc")
+        assert len(dcache._perms) > 0
+        entries = dcache.entry_count()
+        kernel.security_server.flush()
+        assert len(dcache._perms) == 0
+        assert dcache._last_perms is None
+        # The path map is policy-independent and stays warm.
+        assert dcache.entry_count() == entries
 
     def test_search_permission_enforced_on_hits(self, kernel, root, alice):
         kernel.security_server.cache_enabled = False

@@ -5,16 +5,17 @@ layered caches:
 
 * warm stat/open/access served whole from the fused table — the
   dcache and decision cache are never consulted on a hit;
-* one composed generation: mount changes and policy reloads orphan
-  every fused entry with a single integer bump, credential commits
-  orphan by keying (fresh epoch) without evicting other subjects;
+* eager invalidation through the generation hub: mount changes and
+  policy reloads empty the fused table (and its path index) at once,
+  credential commits orphan by keying (fresh epoch) without evicting
+  other subjects;
 * attribute and namespace mutations arrive as prefix invalidations
   through the hub's path fan-out (chmod, create-over-negative);
 * O_CREAT opens bypass the table entirely;
 * fused denials replay the layered errno, context, and audit row;
 * both new fault sites fail closed (a fault slows, never widens);
 * the SFIP-style entry gate rejects out-of-mask syscalls with EPERM
-  before argument processing, for per-task and per-binary masks;
+  before argument processing;
 * /proc/protego/fastpath renders the whole plane, root-only.
 """
 
@@ -109,47 +110,62 @@ class TestFusedHits:
 
 
 # ======================================================================
-# Staleness: the composed generation
+# Staleness: eager clears through the generation hub
 # ======================================================================
+def _assert_fused_table_empty(kernel):
+    table = kernel.fastpath._table
+    assert len(table) == 0
+    assert len(table.index) == 0
+
+
 class TestGenerationStaleness:
     def test_mount_orphans_every_fused_entry(self, kernel, root):
         path = _deep_file(kernel, root)
         kernel.sys_stat(root, path)
         kernel.sys_stat(root, path)  # fused
         kernel.sys_mkdir(root, "/mnt2")
-        kernel.sys_mount(root, "tmpfs", "/mnt2", "tmpfs")
         stale_before = kernel.fastpath.stats.stale_evictions
-        kernel.sys_stat(root, path)  # stamp mismatch: layered re-walk
-        assert kernel.fastpath.stats.stale_evictions == stale_before + 1
+        entries = len(kernel.fastpath)
+        kernel.sys_mount(root, "tmpfs", "/mnt2", "tmpfs")
+        _assert_fused_table_empty(kernel)
+        assert kernel.fastpath.stats.stale_evictions == stale_before + entries
+        misses_before = kernel.fastpath.stats.misses
+        kernel.sys_stat(root, path)  # misses, re-walks, re-fuses
+        assert kernel.fastpath.stats.misses == misses_before + 1
+        assert len(kernel.fastpath) == 1
         kernel.sys_umount(root, "/mnt2")
+        _assert_fused_table_empty(kernel)
         kernel.sys_stat(root, path)
-        assert kernel.fastpath.stats.stale_evictions == stale_before + 2
+        assert kernel.fastpath.stats.misses == misses_before + 2
+        assert len(kernel.fastpath) == 1
 
-    def test_stale_fused_probes_drop_their_index_entries(self, kernel, root):
-        # sys_stat and sys_open evict a stale entry inline; the path
-        # index must lose the key too, or later prefix invalidations
-        # count keys that are no longer in the table.
+    def test_bumps_leave_the_path_index_empty(self, kernel, root):
+        # A bump clears the table and its path index together, so a
+        # later prefix invalidation never counts keys the table lost.
         path = _deep_file(kernel, root)
         kernel.sys_stat(root, path)
         kernel.sys_close(root, kernel.sys_open(root, path))
+        assert len(kernel.fastpath._table.index) == 2
         kernel.sys_mkdir(root, "/mnt2")
         kernel.sys_mount(root, "tmpfs", "/mnt2", "tmpfs")
-        stale_before = kernel.fastpath.stats.stale_evictions
-        with kernel.faults.inject(SITE_FASTPATH_INSERT):  # no re-put
-            kernel.sys_stat(root, path)
-            kernel.sys_close(root, kernel.sys_open(root, path))
-        assert kernel.fastpath.stats.stale_evictions == stale_before + 2
-        table = kernel.fastpath._table
-        indexed = {key for keys in table.index._keys.values() for key in keys}
-        assert indexed <= set(table)
+        _assert_fused_table_empty(kernel)
+        invalidations_before = kernel.fastpath.stats.invalidations
+        kernel.sys_chmod(root, path, 0o600)
+        assert kernel.fastpath.stats.invalidations == invalidations_before
 
     def test_policy_flush_orphans_every_fused_entry(self, kernel, root):
         path = _deep_file(kernel, root)
         kernel.sys_stat(root, path)
-        kernel.security_server.flush()
         stale_before = kernel.fastpath.stats.stale_evictions
-        kernel.sys_stat(root, path)
+        kernel.security_server.flush()
+        _assert_fused_table_empty(kernel)
         assert kernel.fastpath.stats.stale_evictions == stale_before + 1
+        misses_before = kernel.fastpath.stats.misses
+        kernel.sys_stat(root, path)
+        assert kernel.fastpath.stats.misses == misses_before + 1
+        hits_before = kernel.fastpath.stats.hits
+        kernel.sys_stat(root, path)  # re-fused
+        assert kernel.fastpath.stats.hits == hits_before + 1
 
     def test_chmod_invalidates_by_prefix(self, kernel, root, alice):
         kernel.sys_mkdir(root, "/pub", mode=0o755)
@@ -165,11 +181,14 @@ class TestGenerationStaleness:
         task = kernel.root_task("setuid-shell")  # holds CAP_SETUID
         kernel.sys_stat(task, path)
         kernel.sys_stat(root, path)
-        generation = kernel.generations.generation
+        hub = kernel.generations
+        before = (hub.mount, hub.policy)
+        entries = len(kernel.fastpath)
         kernel.sys_setuid(task, 1000)
-        # The composed generation did not move: other subjects' fused
-        # entries survive the credential commit.
-        assert kernel.generations.generation == generation
+        # No mount or policy bump: the table keeps every entry, and
+        # other subjects' fused entries go on hitting.
+        assert (hub.mount, hub.policy) == before
+        assert len(kernel.fastpath) == entries
         hits_before = kernel.fastpath.stats.hits
         kernel.sys_stat(root, path)
         assert kernel.fastpath.stats.hits == hits_before + 1
@@ -305,19 +324,6 @@ class TestEntryGate:
         assert gate.stats.mask_hits == hits_before + 5
         assert gate.stats.mask_recomputes == recomputes_before
 
-    def test_binary_binding_revalidates_cached_masks(self, kernel, root):
-        path = _deep_file(kernel, root)
-        kernel.sys_stat(root, path)  # caches root's mask
-        gate = kernel.entry_gate
-        gate.bind_binary(root.exe_path, ["stat", "close", "exit"])
-        kernel.sys_stat(root, path)  # generation bump forces revalidate
-        with pytest.raises(SyscallError) as excinfo:
-            kernel.sys_open(root, path)
-        assert excinfo.value.errno_value == Errno.EPERM
-        gate.bind_binary(root.exe_path, None)  # unbind
-        fd = kernel.sys_open(root, path)
-        kernel.sys_close(root, fd)
-
     def test_setuid_forces_mask_revalidation(self, kernel):
         task = kernel.root_task("setuid-shell")
         kernel.sys_getpid(task)  # caches the mask for the old epoch
@@ -338,18 +344,24 @@ class TestEntryGate:
 # The generation hub
 # ======================================================================
 class TestGenerationHub:
-    def test_mount_and_policy_advance_the_composed_generation(self):
+    def test_bumps_call_subscribers_in_order_with_the_domain(self):
         hub = GenerationHub()
+        seen = []
+        hub.subscribe_bumps(lambda domain: seen.append(("first", domain)))
+        hub.subscribe_bumps(lambda domain: seen.append(("second", domain)))
         assert hub.bump_mount() == 1
-        assert hub.generation == 1
         assert hub.bump_policy() == 1
-        assert hub.generation == 2
+        assert seen == [("first", "mount"), ("second", "mount"),
+                        ("first", "policy"), ("second", "policy")]
 
     def test_cred_epochs_are_unique_and_do_not_advance(self):
         hub = GenerationHub()
+        seen = []
+        hub.subscribe_bumps(seen.append)
         epochs = {hub.next_cred_epoch() for _ in range(5)}
         assert len(epochs) == 5
-        assert hub.generation == 0
+        assert (hub.mount, hub.policy) == (0, 0)
+        assert seen == []
 
     def test_path_fanout_reaches_every_subscriber(self):
         hub = GenerationHub()
@@ -365,8 +377,6 @@ class TestGenerationHub:
         assert kernel.vfs.dcache.generations is hub
         assert kernel.security_server.generations is hub
         assert kernel.fastpath.generations is hub
-        # The dcache's old mount_epoch is now a view of the hub.
-        assert kernel.vfs.dcache.mount_epoch == hub.mount
 
 
 # ======================================================================
@@ -374,23 +384,22 @@ class TestGenerationHub:
 # ======================================================================
 class TestVerdictForms:
     def test_lookup_verdict_reports_errno_without_raising(self, kernel, root):
-        inode, errno, _context, (cacheable, mount_gen) = \
+        inode, errno, _context, cacheable = \
             kernel.vfs.lookup_verdict("/nope", root.cred)
         assert inode is None and errno == Errno.ENOENT
-        assert cacheable and mount_gen == kernel.generations.mount
+        assert cacheable
 
     def test_check_verdict_carries_the_dependency_pair(self, kernel, root):
         path = _deep_file(kernel, root)
         kernel.fastpath.enabled = False
         from repro.kernel.security.access import AccessRequest
-        decision, (fastpath_ok, generation) = \
+        decision, fastpath_ok = \
             kernel.security_server.check_verdict(AccessRequest(
                 hook="inode_permission", task=root, obj=path,
                 mask=modes.R_OK, args=(path, None, modes.R_OK),
                 dac=lambda: kernel.vfs.lookup(path, root.cred, modes.R_OK),
             ))
         assert decision.allowed and fastpath_ok
-        assert generation == kernel.generations.generation
 
 
 # ======================================================================
@@ -405,7 +414,7 @@ class TestFastpathProcFile:
         kernel.sys_stat(root, "/etc/fstab")
         text = kernel.read_file(root, FASTPATH_PROC_PATH).decode()
         assert "entries=" in text and "hit_rate=" in text
-        assert "generation=" in text and "mount=" in text
+        assert "mount=" in text and "policy=" in text
         assert "entry_checks=" in text and "bitmask_rejections=" in text
         assert "stale_evictions=" in text
 
