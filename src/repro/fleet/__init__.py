@@ -7,17 +7,7 @@ DESIGN.md §12.
 """
 
 from repro.fleet.clock import HarnessClock, TickClock
-from repro.fleet.engine import (
-    FleetConfig,
-    FleetEngine,
-    GLOBAL,
-    HASH,
-    MOD,
-    PER_SHARD,
-    RANDOM,
-    ROUND_ROBIN,
-    run_fleet,
-)
+from repro.fleet.engine import PER_SHARD, FleetConfig, FleetEngine, run_fleet
 from repro.fleet.sessions import DEFAULT_MIX, SCRIPTS
 from repro.fleet.shard import Shard, build_shards
 from repro.fleet.stats import FleetStats, LatencyLedger, ShardReport
@@ -25,6 +15,5 @@ from repro.fleet.stats import FleetStats, LatencyLedger, ShardReport
 __all__ = [
     "FleetConfig", "FleetEngine", "FleetStats", "HarnessClock",
     "LatencyLedger", "Shard", "ShardReport", "TickClock",
-    "build_shards", "run_fleet", "DEFAULT_MIX", "SCRIPTS",
-    "ROUND_ROBIN", "RANDOM", "MOD", "HASH", "GLOBAL", "PER_SHARD",
+    "build_shards", "run_fleet", "DEFAULT_MIX", "SCRIPTS", "PER_SHARD",
 ]

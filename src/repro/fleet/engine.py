@@ -8,37 +8,23 @@ session per step — so the interleaving is a pure function of
 ``(seed, config)`` and two runs agree bit-for-bit on every counter.
 
 Assignment is by tenant group: each session belongs to one of
-``config.tenants`` tenant groups and every tenant group lives on
-exactly one shard, placed either by modulo or by consistent hash
-(CRC32 of the tenant name — never the builtin ``hash()``, which moves
-under ``PYTHONHASHSEED``).
+``config.tenants`` tenant groups and tenant group ``i`` lives on shard
+``i % config.shards``.
 
-Scheduling policies:
+The schedule is per shard: each shard's sessions run as one group
+under :func:`run_shard_group`, a round-robin over the group's live
+sessions in admission order (finished sessions swap-removed), and the
+single-shard results are folded with :meth:`FleetStats.merge` in
+shard-id order. Because shards share nothing (pinned by the isolation
+tests), the fold is the same whether the groups ran back-to-back in
+this process or concurrently in worker processes — which is how
+:mod:`repro.parallel.fleet` turns the schedule into wall-clock
+speedup.
 
-* ``round-robin`` — cycle through live sessions in admission order
-  (finished sessions swap-removed);
-* ``random`` — pick the next session uniformly from the live set with
-  the dedicated scheduler RNG.
-
-Schedule modes:
-
-* ``global`` — the original oracle: one round-robin (or random draw)
-  over *every* live session in the fleet, whatever shard it lives on.
-  Maximally interleaved, inherently sequential.
-* ``per-shard`` — the partitionable schedule: each shard's sessions
-  are scheduled independently by :func:`run_shard_group` with a
-  shard-derived scheduler seed, and the per-shard results are folded
-  with :meth:`FleetStats.merge` in shard-id order. Because shards
-  share nothing (pinned by the isolation tests), the fold is the same
-  whether the groups ran back-to-back in this process or concurrently
-  in worker processes — which is exactly how
-  :mod:`repro.parallel.fleet` turns the mode into wall-clock speedup.
-
-Cross-shard bookkeeping is batched: credential-mutating sessions only
+Daemon bookkeeping is batched: credential-mutating sessions only
 raise their shard's ``needs_sync`` flag, and every
-``bookkeeping_interval`` steps the engine drains the flags with one
-supervised daemon poll per dirty shard (its own shard only, in
-per-shard mode — there is no cross-shard state to drain).
+``bookkeeping_interval`` steps the group's loop drains it with one
+supervised daemon poll.
 """
 
 from __future__ import annotations
@@ -46,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.system import SystemMode
 from repro.fleet.clock import TickClock
@@ -61,24 +47,16 @@ from repro.fleet.shard import Shard, build_shards
 from repro.fleet.stats import FleetStats, LatencyLedger
 from repro.kernel.errno import SyscallError
 
-ROUND_ROBIN = "round-robin"
-RANDOM = "random"
-
-MOD = "mod"
-HASH = "hash"
-
-GLOBAL = "global"
 PER_SHARD = "per-shard"
 
 
 def _derive_seed(*parts: object) -> int:
     """A stable child seed — CRC32 over *length-prefixed* parts.
 
-    The old ``":".join(...)`` framing let distinct part tuples collide
-    (``("a:b", "c")`` framed identically to ``("a", "b:c")``), so two
-    different derivation sites could accidentally share an RNG stream.
-    Length-prefixing each part makes the framing injective; no pinned
-    test depends on the old digests, so there is no compat shim.
+    CRC32 rather than the builtin ``hash()``, which moves under
+    ``PYTHONHASHSEED``; length-prefixing each part keeps the framing
+    injective, so ``("a:b", "c")`` and ``("a", "b:c")`` derive
+    different seeds.
     """
     crc = 0
     for part in parts:
@@ -95,13 +73,11 @@ class FleetConfig:
     sessions: int = 100
     shards: int = 1
     mode: SystemMode = SystemMode.PROTEGO
-    policy: str = ROUND_ROBIN    # or RANDOM
-    assign: str = MOD            # or HASH (consistent hash of tenant)
     seed: int = 0
-    #: Tenant groups; each group is pinned to one shard.
+    #: Tenant groups; group ``i`` is pinned to shard ``i % shards``.
     tenants: int = 64
     fastpath: bool = True
-    #: Scheduler steps between cross-shard bookkeeping sweeps.
+    #: Scheduler steps between a shard's batched daemon syncs.
     bookkeeping_interval: int = 1024
     #: Relative script weights (defaults to the canonical day mix).
     mix: Optional[Dict[str, int]] = None
@@ -115,9 +91,18 @@ class FleetConfig:
     #: (username, password) admin-script sessions run as when a roster
     #: is set; None with a roster = admin sessions draw from it too.
     admin: Optional[Tuple[str, str]] = None
-    #: Schedule mode: GLOBAL (the serial oracle) or PER_SHARD (the
-    #: partitionable schedule the parallel engine shares).
-    schedule: str = GLOBAL
+    #: Accepted for callers that name the schedule; PER_SHARD is the
+    #: only one.
+    schedule: str = PER_SHARD
+
+    def __post_init__(self) -> None:
+        if self.schedule != PER_SHARD:
+            raise ValueError(f"unknown schedule {self.schedule!r}; "
+                             f"the fleet runs {PER_SHARD!r} only")
+
+
+def tenant_names_for(config: FleetConfig) -> List[str]:
+    return [f"t{i:02d}" for i in range(config.tenants)]
 
 
 class _Session:
@@ -134,8 +119,10 @@ class _Session:
 
 
 class Tally:
-    """Live fleet-wide counters (feeds the /proc/protego/fleet header
-    while a run is in flight)."""
+    """Live counters over every session a run admitted (feeds the
+    /proc/protego/fleet header while a run is in flight).
+    ``live + completed + failed`` equals the admitted count at every
+    step."""
 
     __slots__ = ("live", "completed", "failed", "steps")
 
@@ -149,20 +136,8 @@ class Tally:
         self.steps = 0
 
 
-def shard_index_for(assign: str, shard_count: int, tenant_names: List[str],
-                    tenant_index: int) -> int:
-    """Tenant-group placement, as a pure function — the parent and
-    every worker process compute the identical assignment from the
-    config alone."""
-    if assign == HASH:
-        name = tenant_names[tenant_index]
-        return zlib.crc32(name.encode()) % shard_count
-    return tenant_index % shard_count
-
-
 def admit_sessions(config: FleetConfig, shards_by_index: Dict[int, Shard],
-                   tenant_names: List[str],
-                   shard_count: int) -> List[_Session]:
+                   tenant_names: List[str]) -> List[_Session]:
     """Build session generators for every sid whose shard is present.
 
     Deterministic and partition-stable: each session's RNG, script,
@@ -175,9 +150,7 @@ def admit_sessions(config: FleetConfig, shards_by_index: Dict[int, Shard],
         rng = random.Random(_derive_seed("session", config.seed, sid))
         script = pick_script(rng, config.mix or DEFAULT_MIX)
         tenant_index = sid % config.tenants
-        shard = shards_by_index.get(
-            shard_index_for(config.assign, shard_count, tenant_names,
-                            tenant_index))
+        shard = shards_by_index.get(tenant_index % config.shards)
         if shard is None:
             continue
         if config.roster:
@@ -197,50 +170,35 @@ def admit_sessions(config: FleetConfig, shards_by_index: Dict[int, Shard],
     return sessions
 
 
-@dataclasses.dataclass
-class GroupResult:
-    """What one scheduled session group produced (shard counters land
-    on the shards themselves; this is the scheduler-side remainder)."""
+def run_shard_group(shard: Shard, sessions: Sequence[_Session],
+                    config: FleetConfig, clock: TickClock,
+                    tally: Tally) -> FleetStats:
+    """Run one shard's session group and return its single-shard
+    :class:`FleetStats` part.
 
-    completed: int
-    failed: int
-    steps: int
-    session_ledger: LatencyLedger
-    op_ledgers: Dict[str, LatencyLedger]
-    op_counts: Dict[str, int]
-    digest: Optional[int]
-
-
-def run_session_group(live: List[_Session], policy: str,
-                      sched_rng: random.Random, clock: TickClock,
-                      interval: int, bookkeep: Callable[[], None],
-                      record_schedule: bool,
-                      tally: Optional[Tally] = None) -> GroupResult:
-    """The scheduler loop, over one group of sessions.
-
-    This is the single step loop behind every mode: the global engine
-    passes the whole fleet as one group with a drain-all bookkeeper;
-    the per-shard mode (serial or in a worker process) passes one
-    shard's sessions with a sync-this-shard bookkeeper. One op per
-    step; the interleaving is a pure function of (group, policy,
-    sched_rng, fault state).
+    The scheduler loop: a round-robin over the group's live sessions,
+    one op per step. The interleaving — and therefore the schedule CRC
+    and the shard's audit ring — is a pure function of the group and
+    the shard's fault state, independent of which process runs it or
+    what other shards are doing; :meth:`FleetStats.merge` folds the
+    parts.
     """
+    interval = max(1, config.bookkeeping_interval)
     session_ledger = LatencyLedger()
     op_ledgers: Dict[str, LatencyLedger] = {}
     op_counts: Dict[str, int] = {}
-    digest = 0 if record_schedule else None
-    completed = failed_count = steps = 0
+    digest = 0 if config.record_schedule else None
+    steps = 0
     cursor = 0
+    live = list(sessions)
+    start = clock.now()
 
     while live:
-        if policy == RANDOM:
-            cursor = sched_rng.randrange(len(live))
-        elif cursor >= len(live):
+        if cursor >= len(live):
             cursor = 0
         session = live[cursor]
         if session.started is None:
             session.started = clock.now()
-        shard = session.shard
         kernel_before = shard.kernel.now()
         wall_before = clock.now()
         finished = failed = False
@@ -278,8 +236,7 @@ def run_session_group(live: List[_Session], policy: str,
         if op is not None:
             steps += 1
             shard.ops += 1
-            if tally is not None:
-                tally.steps += 1
+            tally.steps += 1
             op_counts[op] = op_counts.get(op, 0) + 1
             # Per-op latency: wall nanoseconds under a harness
             # clock, simulated kernel ticks under the tick clock —
@@ -292,97 +249,80 @@ def run_session_group(live: List[_Session], policy: str,
                     f"{session.sid}:{op};".encode(), digest)
         if finished:
             if failed:
-                failed_count += 1
                 shard.failed += 1
+                tally.failed += 1
                 shard.count_abort(err_name or "EPERM")
                 if digest is not None:
                     digest = zlib.crc32(
                         f"{session.sid}:FAIL:{err_name};".encode(),
                         digest)
             else:
-                completed += 1
                 shard.completed += 1
-            if tally is not None:
-                if failed:
-                    tally.failed += 1
-                else:
-                    tally.completed += 1
+                tally.completed += 1
+            tally.live -= 1
             session_ledger.record(now - session.started)
             live[cursor] = live[-1]
             live.pop()
-            if tally is not None:
-                tally.live = len(live)
         else:
             cursor += 1
-        if steps % interval == 0:
-            bookkeep()
-
-    return GroupResult(completed, failed_count, steps, session_ledger,
-                       op_ledgers, op_counts, digest)
-
-
-def run_shard_group(shard: Shard, sessions: Sequence[_Session],
-                    config: FleetConfig,
-                    clock: Optional[TickClock] = None,
-                    tally: Optional[Tally] = None) -> FleetStats:
-    """Run one shard's session group under the per-shard schedule and
-    return its single-shard :class:`FleetStats` part.
-
-    The scheduler seed derives from ``(config.seed, shard.index)``, so
-    the group's interleaving — and therefore its schedule CRC and the
-    shard's audit ring — is a pure function of the config, independent
-    of which process runs it or what other shards are doing. Both the
-    serial per-shard engine and the parallel workers call exactly this
-    function; :meth:`FleetStats.merge` folds the parts either way.
-    """
-    clock = clock if clock is not None else TickClock()
-    sched_rng = random.Random(_derive_seed("sched", config.seed, shard.index))
-    interval = max(1, config.bookkeeping_interval)
-
-    def bookkeep() -> None:
-        if shard.needs_sync:
+        if steps % interval == 0 and shard.needs_sync:
             shard.sync()
 
-    start = clock.now()
-    result = run_session_group(list(sessions), config.policy, sched_rng,
-                               clock, interval, bookkeep,
-                               config.record_schedule, tally)
-    bookkeep()
+    if shard.needs_sync:
+        shard.sync()
     elapsed = clock.now() - start
     report = shard.report()
-    report.schedule_crc = result.digest
+    report.schedule_crc = digest
 
     if clock.wall:
-        throughput = (result.completed / (elapsed / 1e9)) if elapsed else 0.0
+        throughput = (report.completed / (elapsed / 1e9)) if elapsed else 0.0
     else:
-        throughput = (result.completed / (elapsed / 1e6)) if elapsed else 0.0
-    p50, p95, p99 = result.session_ledger.percentiles()
+        throughput = (report.completed / (elapsed / 1e6)) if elapsed else 0.0
+    p50, p95, p99 = session_ledger.percentiles()
     return FleetStats(
         mode=config.mode.value,
         sessions=report.sessions,
         shards=1,
-        policy=config.policy,
-        assign=config.assign,
         seed=config.seed,
         fastpath=config.fastpath,
         clock="wall" if clock.wall else "tick",
-        schedule=PER_SHARD,
-        completed=result.completed,
-        failed=result.failed,
-        ops=result.steps,
+        completed=report.completed,
+        failed=report.failed,
+        ops=report.ops,
         elapsed=float(elapsed),
         sessions_per_sec=throughput,
         session_p50=p50, session_p95=p95, session_p99=p99,
-        session_mean=result.session_ledger.mean,
-        session_max=result.session_ledger.max,
+        session_mean=session_ledger.mean,
+        session_max=session_ledger.max,
         op_latency={kind: ledger.percentiles()
-                    for kind, ledger in result.op_ledgers.items()},
-        op_counts=result.op_counts,
+                    for kind, ledger in op_ledgers.items()},
+        op_counts=op_counts,
         shard_reports=[report],
-        schedule_digest=result.digest,
-        session_ledger=result.session_ledger,
-        op_ledgers=result.op_ledgers,
+        schedule_digest=digest,
+        session_ledger=session_ledger,
+        op_ledgers=op_ledgers,
     )
+
+
+def run_shards(config: FleetConfig, shards: Sequence[Shard],
+               clock: TickClock, tally: Tally) -> List[FleetStats]:
+    """Start a run on *shards*, admit the sessions placed on them, and
+    run each shard's group in shard-id order; one part per shard.
+
+    The serial engine passes the whole fleet, a parallel worker its
+    rebuilt slice — the same admission and the same loop either way.
+    """
+    for shard in shards:
+        shard.begin_run()
+    by_index = {shard.index: shard for shard in shards}
+    sessions = admit_sessions(config, by_index, tenant_names_for(config))
+    tally.reset(len(sessions))
+    groups: Dict[int, List[_Session]] = {index: [] for index in by_index}
+    for session in sessions:
+        groups[session.shard.index].append(session)
+    return [run_shard_group(by_index[index], groups[index], config,
+                            clock, tally)
+            for index in sorted(by_index)]
 
 
 class FleetEngine:
@@ -391,121 +331,32 @@ class FleetEngine:
     def __init__(self, config: FleetConfig,
                  clock: Optional[TickClock] = None,
                  shards: Optional[List[Shard]] = None):
-        if config.policy not in (ROUND_ROBIN, RANDOM):
-            raise ValueError(f"unknown policy {config.policy!r}")
-        if config.assign not in (MOD, HASH):
-            raise ValueError(f"unknown assignment {config.assign!r}")
-        if config.schedule not in (GLOBAL, PER_SHARD):
-            raise ValueError(f"unknown schedule {config.schedule!r}")
+        if shards is None:
+            shards = build_shards(
+                config.mode, config.shards, tenants=tenant_names_for(config),
+                fastpath=config.fastpath)
+        indices = sorted(shard.index for shard in shards)
+        if indices != list(range(config.shards)):
+            # Placement is tenant % config.shards, and the parallel
+            # engine rebuilds from the config alone.
+            raise ValueError(
+                f"config.shards={config.shards} needs shards "
+                f"0..{config.shards - 1}; got indices {indices}")
         self.config = config
         self.clock = clock or TickClock()
-        self.tenant_names = [f"t{i:02d}" for i in range(config.tenants)]
-        self.shards = shards if shards is not None else build_shards(
-            config.mode, config.shards, tenants=self.tenant_names,
-            fastpath=config.fastpath)
+        self.shards = shards
         self.tally = Tally()
         for shard in self.shards:
             shard.attach_fleet_render(self._render_live)
 
-    # ------------------------------------------------------------------
-    def shard_for(self, tenant_index: int) -> Shard:
-        return self.shards[shard_index_for(
-            self.config.assign, len(self.shards), self.tenant_names,
-            tenant_index)]
-
-    def _admit(self) -> List[_Session]:
-        """Build every session's generator (deterministically — each
-        session's RNG and script choice depend only on (seed, sid))."""
-        by_index = {shard.index: shard for shard in self.shards}
-        return admit_sessions(self.config, by_index, self.tenant_names,
-                              len(self.shards))
-
-    # ------------------------------------------------------------------
     def run(self) -> FleetStats:
-        if self.config.schedule == PER_SHARD:
-            return FleetStats.merge(self.run_parts())
-        return self._run_global()
-
-    def _run_global(self) -> FleetStats:
-        config = self.config
-        clock = self.clock
-        sched_rng = random.Random(_derive_seed("sched", config.seed))
-
-        for shard in self.shards:
-            shard.begin_run()
-        live = self._admit()
-        self.tally.reset(len(live))
-
-        run_start = clock.now()
-        result = run_session_group(
-            live, config.policy, sched_rng, clock,
-            max(1, config.bookkeeping_interval), self._bookkeep,
-            config.record_schedule, self.tally)
-        self._bookkeep()
-        elapsed = clock.now() - run_start
-        return self._stats(elapsed, result)
+        return FleetStats.merge(self.run_parts())
 
     def run_parts(self) -> List[FleetStats]:
-        """The serial per-shard run, as its mergeable parts: each
-        shard's group scheduled independently, in shard-id order.
-
-        Exposed (rather than folded straight into :meth:`run`) so the
-        merge tests can regroup the parts, and so the parallel engine
-        has an in-process oracle producing the identical part list."""
-        if self.config.schedule != PER_SHARD:
-            raise ValueError("run_parts requires the per-shard schedule")
-        for shard in self.shards:
-            shard.begin_run()
-        sessions = self._admit()
-        self.tally.reset(len(sessions))
-        groups: Dict[int, List[_Session]] = {}
-        for session in sessions:
-            groups.setdefault(session.shard.index, []).append(session)
-        return [run_shard_group(shard, groups.get(shard.index, []),
-                                self.config, clock=self.clock,
-                                tally=self.tally)
-                for shard in sorted(self.shards, key=lambda s: s.index)]
-
-    def _bookkeep(self) -> None:
-        for shard in self.shards:
-            if shard.needs_sync:
-                shard.sync()
-
-    # ------------------------------------------------------------------
-    def _stats(self, elapsed, result: GroupResult) -> FleetStats:
-        config = self.config
-        completed = result.completed
-        if self.clock.wall:
-            throughput = (completed / (elapsed / 1e9)) if elapsed else 0.0
-        else:
-            throughput = (completed / (elapsed / 1e6)) if elapsed else 0.0
-        p50, p95, p99 = result.session_ledger.percentiles()
-        return FleetStats(
-            mode=config.mode.value,
-            sessions=config.sessions,
-            shards=len(self.shards),
-            policy=config.policy,
-            assign=config.assign,
-            seed=config.seed,
-            fastpath=config.fastpath,
-            clock="wall" if self.clock.wall else "tick",
-            schedule=config.schedule,
-            completed=completed,
-            failed=result.failed,
-            ops=result.steps,
-            elapsed=float(elapsed),
-            sessions_per_sec=throughput,
-            session_p50=p50, session_p95=p95, session_p99=p99,
-            session_mean=result.session_ledger.mean,
-            session_max=result.session_ledger.max,
-            op_latency={kind: ledger.percentiles()
-                        for kind, ledger in result.op_ledgers.items()},
-            op_counts=result.op_counts,
-            shard_reports=[shard.report() for shard in self.shards],
-            schedule_digest=result.digest,
-            session_ledger=result.session_ledger,
-            op_ledgers=result.op_ledgers,
-        )
+        """The run as its mergeable parts, one per shard in shard-id
+        order (what :meth:`run` merges; exposed so the merge tests can
+        regroup the parts)."""
+        return run_shards(self.config, self.shards, self.clock, self.tally)
 
     def _render_live(self) -> str:
         """The fleet-wide header each shard's /proc/protego/fleet
@@ -517,8 +368,6 @@ class FleetEngine:
         hard = sum(s.hard_failures for s in self.shards)
         return (f"fleet: mode={config.mode.value} "
                 f"sessions={config.sessions} shards={len(self.shards)} "
-                f"policy={config.policy} assign={config.assign} "
-                f"schedule={config.schedule} "
                 f"seed={config.seed} live={tally.live} "
                 f"completed={tally.completed} failed={tally.failed} "
                 f"steps={tally.steps}\n"

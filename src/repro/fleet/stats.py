@@ -8,9 +8,9 @@ a reservoir is full, every other retained sample is dropped and only
 every 2^k-th new sample is kept — no RNG, so two runs with the same
 seed keep identical reservoirs.
 
-Both ledgers and whole reports are *mergeable*: the per-shard schedule
-mode (and the process-parallel engine built on it — DESIGN.md §15)
-produces one single-shard :class:`FleetStats` part per shard, and
+Both ledgers and whole reports are *mergeable*: the engine (serial,
+or the process-parallel one — DESIGN.md §15) produces one
+single-shard :class:`FleetStats` part per shard, and
 :meth:`FleetStats.merge` folds the parts in shard-id order. Every
 merge is order-defined (shard-id order is the canonical fold order)
 and associative — reservoirs concatenate untouched and the cap
@@ -112,7 +112,7 @@ class LatencyLedger:
         one reservoir whatever its grouping. Retained samples keep
         their source ledger's density (a long-running shard's samples
         are sparser than a short one's); nearest-rank percentiles over
-        the union are an estimate either way, and the serial per-shard
+        the union are an estimate either way, and the serial
         engine and the parallel merge compute them from the identical
         union.
         """
@@ -173,9 +173,8 @@ class ShardReport:
     #: per-shard fingerprint the determinism projection compares, and
     #: what a worker ships back instead of the ring itself.
     audit_crc: int = 0
-    #: Per-shard (sid, op) schedule CRC — set only by the per-shard
-    #: schedule mode (``None`` under the global oracle schedule, whose
-    #: digest is fleet-wide).
+    #: Per-shard (sid, op) schedule CRC (``None`` unless the run
+    #: recorded its schedule).
     schedule_crc: Optional[int] = None
 
     def render(self) -> str:
@@ -210,15 +209,9 @@ class FleetStats:
     mode: str
     sessions: int
     shards: int
-    policy: str
-    assign: str
     seed: int
     fastpath: bool
     clock: str              # "tick" or "wall"
-    #: Schedule mode echo: "global" (the serial oracle round-robin over
-    #: every live session) or "per-shard" (the partitionable schedule
-    #: serial and parallel engines share).
-    schedule: str = "global"
     completed: int = 0
     failed: int = 0
     ops: int = 0
@@ -236,9 +229,9 @@ class FleetStats:
     op_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
     shard_reports: List[ShardReport] = dataclasses.field(default_factory=list)
     #: Rolling CRC over the (sid, op) schedule, when the engine was
-    #: asked to record it — the determinism tests' fingerprint. Under
-    #: the per-shard schedule this is the shard-id-ordered combination
-    #: of the per-shard ``schedule_crc`` values.
+    #: asked to record it — the determinism tests' fingerprint: the
+    #: shard-id-ordered combination of the per-shard ``schedule_crc``
+    #: values.
     schedule_digest: Optional[int] = None
     #: The live ledgers behind the percentile fields — attached by the
     #: engine so reports stay mergeable; excluded from equality and
@@ -272,14 +265,15 @@ class FleetStats:
         """The deterministic projection: every field two same-seed runs
         must agree on, wall-time fields excluded. Keys with unordered
         sources (op counts) are emitted sorted so the projection is
-        bit-identical — ``repr()`` included — however it was built
-        (one global schedule, a serial per-shard fold, or N worker
-        processes merged)."""
+        bit-identical — ``repr()`` included — however it was built (a
+        serial fold or N worker processes merged). The ``policy``,
+        ``assign`` and ``schedule`` keys are constants, kept so pinned
+        digests of the projection stay comparable across commits."""
         return {
             "mode": self.mode, "sessions": self.sessions,
-            "shards": self.shards, "policy": self.policy,
-            "assign": self.assign, "seed": self.seed,
-            "schedule": self.schedule,
+            "shards": self.shards, "policy": "round-robin",
+            "assign": "mod", "seed": self.seed,
+            "schedule": "per-shard",
             "completed": self.completed, "failed": self.failed,
             "ops": self.ops,
             "op_counts": {op: self.op_counts[op]
@@ -305,7 +299,7 @@ class FleetStats:
         sub-groups merge again without changing anything: counters
         add, reports concatenate, the schedule digest is recomputed
         from the per-shard CRCs every time). This is the single code
-        path behind both the serial per-shard engine and the parent
+        path behind both the serial engine and the parent
         side of the process-parallel engine, which is what makes their
         ``comparable()`` projections bit-identical.
         """
@@ -350,12 +344,9 @@ class FleetStats:
             mode=first.mode,
             sessions=sum(part.sessions for part in parts),
             shards=len(reports),
-            policy=first.policy,
-            assign=first.assign,
             seed=first.seed,
             fastpath=first.fastpath,
             clock=first.clock,
-            schedule=first.schedule,
             completed=completed,
             failed=sum(part.failed for part in parts),
             ops=sum(part.ops for part in parts),
@@ -378,8 +369,7 @@ class FleetStats:
         unit = self.latency_unit
         lines = [
             f"fleet: mode={self.mode} sessions={self.sessions} "
-            f"shards={self.shards} policy={self.policy} "
-            f"assign={self.assign} seed={self.seed} "
+            f"shards={self.shards} seed={self.seed} "
             f"fastpath={int(self.fastpath)} clock={self.clock}",
             f"completed={self.completed} failed={self.failed} "
             f"ops={self.ops} elapsed={self.elapsed:.0f}{unit} "

@@ -11,7 +11,7 @@ Two consumers sit on this layer:
 * :mod:`repro.parallel.fleet` — :func:`run_fleet_parallel`, the
   process-parallel fleet engine: shards are partitioned across
   workers, each worker *rebuilds* its shard group from ``(config,
-  seed)`` (kernels are never pickled), runs the per-shard scheduler,
+  seed)`` (kernels are never pickled), runs the shards' groups,
   and ships back per-shard :class:`~repro.fleet.stats.FleetStats`
   parts the parent merges in shard-id order. See DESIGN.md §15.
 

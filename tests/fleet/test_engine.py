@@ -2,16 +2,9 @@
 
 import pytest
 
+import repro.fleet.engine as fleet_engine
 from repro.core.system import SystemMode
-from repro.fleet import (
-    HASH,
-    MOD,
-    RANDOM,
-    FleetConfig,
-    FleetEngine,
-    build_shards,
-    run_fleet,
-)
+from repro.fleet import FleetConfig, FleetEngine, build_shards, run_fleet
 from repro.fleet.shard import FLEET_PROC_PATH
 
 
@@ -28,24 +21,22 @@ def test_smoke_run_completes_every_session():
 
 def test_linux_mode_and_random_policy():
     stats = run_fleet(FleetConfig(sessions=30, shards=2, seed=3,
-                                  mode=SystemMode.LINUX, policy=RANDOM))
+                                  mode=SystemMode.LINUX))
     assert stats.completed == 30
     assert stats.mode == "linux"
-    assert stats.policy == RANDOM
 
 
-def test_invalid_policy_and_assignment_rejected():
-    with pytest.raises(ValueError):
-        FleetEngine(FleetConfig(sessions=1, policy="fifo"))
-    with pytest.raises(ValueError):
-        FleetEngine(FleetConfig(sessions=1, assign="rendezvous"))
+def test_global_schedule_is_rejected():
+    with pytest.raises(ValueError, match="per-shard"):
+        FleetConfig(sessions=1, schedule="global")
 
 
-@pytest.mark.parametrize("assign", [MOD, HASH])
-def test_tenant_pinned_to_one_shard(assign):
-    engine = FleetEngine(FleetConfig(sessions=60, shards=4, seed=1,
-                                     assign=assign, tenants=16))
-    sessions = engine._admit()
+def test_tenant_pinned_to_one_shard():
+    config = FleetConfig(sessions=60, shards=4, seed=1, tenants=16)
+    engine = FleetEngine(config)
+    sessions = fleet_engine.admit_sessions(
+        config, {shard.index: shard for shard in engine.shards},
+        fleet_engine.tenant_names_for(config))
     shard_of_tenant = {}
     for session in sessions:
         tenant = session.sid % 16
@@ -92,3 +83,45 @@ def test_engine_accepts_prebuilt_shards():
     stats = FleetEngine(config, shards=shards).run()
     assert stats.completed == 12
     assert stats.shards == 2
+
+
+def test_prebuilt_shards_must_match_the_configured_count():
+    # Placement is tenant % config.shards everywhere (the parallel
+    # engine rebuilds from the config), so a mismatched pool would run
+    # a different fleet than the config describes.
+    shards = build_shards(SystemMode.PROTEGO, 3,
+                          tenants=[f"t{i:02d}" for i in range(8)])
+    with pytest.raises(ValueError, match="config.shards=2"):
+        FleetEngine(FleetConfig(sessions=30, shards=2, tenants=8),
+                    shards=shards)
+
+
+def test_proc_fleet_live_count_is_fleet_wide(monkeypatch):
+    """At every group end the /proc/protego/fleet header accounts for
+    every admitted session: ``live + completed + failed == admitted``,
+    with ``live`` the sessions of the groups still to run."""
+    config = FleetConfig(sessions=40, shards=2, seed=3)
+    engine = FleetEngine(config)
+    run_group = fleet_engine.run_shard_group
+    headers = []
+
+    def recording(shard, sessions, *args):
+        part = run_group(shard, sessions, *args)
+        root = shard.system.root_session()
+        text = shard.kernel.read_file(
+            root, f"/proc/{FLEET_PROC_PATH}").decode()
+        fields = dict(item.split("=") for item in
+                      text.splitlines()[0].split()[1:])
+        headers.append({key: int(fields[key])
+                        for key in ("live", "completed", "failed")})
+        return part
+
+    monkeypatch.setattr(fleet_engine, "run_shard_group", recording)
+    stats = engine.run()
+    assert len(headers) == 2
+    for header in headers:
+        assert header["live"] + header["completed"] + header["failed"] \
+            == config.sessions
+    # After shard 0's group, shard 1's sessions are still live.
+    assert headers[0]["live"] == stats.shard_reports[1].sessions > 0
+    assert headers[1]["live"] == 0
